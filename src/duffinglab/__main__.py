@@ -1,0 +1,6 @@
+"""``python -m duffinglab``: the command line entry point."""
+import sys
+
+from .cli import main
+
+sys.exit(main())

@@ -80,10 +80,6 @@ def hamiltonian_pieces(system, I, theta, t) -> HamiltonianPieces:
     )
 
 
-def hamiltonian_value(system, I, theta, t) -> float:
-    return I + sum(hamiltonian_pieces(system, I, theta, t))
-
-
 # ---------------------------------------------------------------------------
 # circle average of the potential term
 # ---------------------------------------------------------------------------

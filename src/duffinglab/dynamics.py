@@ -1,9 +1,11 @@
 """Long-horizon integration, strobe maps, rotation numbers, classification.
 
 The equation is integrated in the symmetric first-order form x' = n y,
-y' = -n x - (g(x) + psi'(x) - p(t)) / n with a hand-rolled adaptive
-Dormand-Prince 5(4) pair; the strobe map advances time by exactly one
-forcing period 2*pi.  On top of the strobe iterates sit the unwrapped
+y' = -n x - (g(x) + psi'(x) - p(t)) / n with an adaptive Dormand-Prince
+5(4) pair.  Each system gets one generated kernel, the step loop with its
+RHS inlined, compiled on the system's first integration and kept on the
+system object.  The strobe map advances time by exactly one forcing
+period 2*pi.  On top of the strobe iterates sit the unwrapped
 rotation angle, the twist-scaling diagnostic, and the bounded/escaping
 orbit classification.
 """
@@ -26,7 +28,14 @@ from .errors import (
     StiffnessFailureError,
 )
 from .fitting import DecayFit, loglog_fit
-from .functions import compile_scalar, limit_gap, make_system
+from .functions import (
+    SCALAR_NAMESPACE,
+    limit_gap,
+    literal,
+    make_system,
+    scalar_source,
+    times_source,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,29 +46,139 @@ MAX_STEPS = 1_000_000
 MIN_STEP = 1.0e-14
 
 # Dormand-Prince 5(4) tableau; row 7 doubles as the 5th-order weights so
-# stage 7 is the derivative at the accepted point (FSAL)
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (
-    19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0,
-)
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0,
-    49.0 / 176.0, -5103.0 / 18656.0,
-)
-_A71, _A73, _A74, _A75, _A76 = (
-    35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0,
-)
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
-    -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
+# stage 7 is the derivative at the accepted point (FSAL).  Each system's
+# kernel is generated from _KERNEL_TEMPLATE with these values as literals.
+_TABLEAU = dict(
+    A21=1.0 / 5.0,
+    A31=3.0 / 40.0, A32=9.0 / 40.0,
+    A41=44.0 / 45.0, A42=-56.0 / 15.0, A43=32.0 / 9.0,
+    A51=19372.0 / 6561.0, A52=-25360.0 / 2187.0, A53=64448.0 / 6561.0,
+    A54=-212.0 / 729.0,
+    A61=9017.0 / 3168.0, A62=-355.0 / 33.0, A63=46732.0 / 5247.0,
+    A64=49.0 / 176.0, A65=-5103.0 / 18656.0,
+    A71=35.0 / 384.0, A73=500.0 / 1113.0, A74=125.0 / 192.0,
+    A75=-2187.0 / 6784.0, A76=11.0 / 84.0,
+    C2=1.0 / 5.0, C3=3.0 / 10.0, C4=4.0 / 5.0, C5=8.0 / 9.0,
+    E1=71.0 / 57600.0, E3=-71.0 / 16695.0, E4=71.0 / 1920.0,
+    E5=-17253.0 / 339200.0, E6=22.0 / 525.0, E7=-1.0 / 40.0,
+    SAFE=0.9, BETA=0.04, EXPO=0.2 - 0.75 * 0.04,
+    MAX_STEPS=MAX_STEPS, MIN_STEP=MIN_STEP,
 )
 
-_SAFE = 0.9
-_BETA = 0.04
-_EXPO = 0.2 - 0.75 * _BETA
+# Adaptive 5(4) integration of the pair (x, y) from t0 to t1.  Error per
+# step is measured in the mixed absolute/relative norm with both
+# tolerances equal to tol; the step controller is the standard
+# proportional-integral rule with growth held back right after a
+# rejection.  Every RHS evaluation binds (ts, xs, ys) and inlines
+# x' = {FX}, y' = {FY}.  Returns (x, y, accepted, rejected, worst error).
+_KERNEL_TEMPLATE = """
+def kernel(t0, x0, y0, t1, tol):
+    span = abs(t1 - t0)
+    if span == 0.0:
+        return x0, y0, 0, 0, 0.0
+    direction = 1.0 if t1 > t0 else -1.0
+    t, x, y = t0, x0, y0
+    ts, xs, ys = t, x, y
+    fx = {FX}
+    fy = {FY}
+
+    # initial step size
+    scx = tol + tol * abs(x0)
+    scy = tol + tol * abs(y0)
+    d0 = sqrt(0.5 * ((x0 / scx) ** 2 + (y0 / scy) ** 2))
+    d1 = sqrt(0.5 * ((fx / scx) ** 2 + (fy / scy) ** 2))
+    h0 = 1.0e-6 if (d0 < 1.0e-5 or d1 < 1.0e-5) else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    ts = t0 + direction * h0
+    xs = x0 + direction * h0 * fx
+    ys = y0 + direction * h0 * fy
+    k2x = {FX}
+    k2y = {FY}
+    d2 = sqrt(0.5 * (((k2x - fx) / scx) ** 2 + ((k2y - fy) / scy) ** 2)) / h0
+    if max(d1, d2) <= 1.0e-15:
+        h1 = max(1.0e-6, h0 * 1.0e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h = direction * min(100.0 * h0, h1, span)
+
+    facold = 1.0e-4
+    rejected_last = False
+    n_accept = 0
+    n_reject = 0
+    worst = 0.0
+    while (t1 - t) * direction > 0.0:
+        if n_accept + n_reject > {MAX_STEPS}:
+            raise SolverFailureError(
+                "step budget exhausted", t=t, steps=n_accept + n_reject)
+        if abs(h) < {MIN_STEP}:
+            raise StiffnessFailureError("step size underflow", t=t, step=h)
+        if (t + h - t1) * direction > 0.0:
+            h = t1 - t
+
+        ts = t + {C2} * h
+        xs = x + h * {A21} * fx
+        ys = y + h * {A21} * fy
+        k2x = {FX}
+        k2y = {FY}
+        ts = t + {C3} * h
+        xs = x + h * ({A31} * fx + {A32} * k2x)
+        ys = y + h * ({A31} * fy + {A32} * k2y)
+        k3x = {FX}
+        k3y = {FY}
+        ts = t + {C4} * h
+        xs = x + h * ({A41} * fx + {A42} * k2x + {A43} * k3x)
+        ys = y + h * ({A41} * fy + {A42} * k2y + {A43} * k3y)
+        k4x = {FX}
+        k4y = {FY}
+        ts = t + {C5} * h
+        xs = x + h * ({A51} * fx + {A52} * k2x + {A53} * k3x + {A54} * k4x)
+        ys = y + h * ({A51} * fy + {A52} * k2y + {A53} * k3y + {A54} * k4y)
+        k5x = {FX}
+        k5y = {FY}
+        ts = t + h
+        xs = x + h * ({A61} * fx + {A62} * k2x + {A63} * k3x
+                      + {A64} * k4x + {A65} * k5x)
+        ys = y + h * ({A61} * fy + {A62} * k2y + {A63} * k3y
+                      + {A64} * k4y + {A65} * k5y)
+        k6x = {FX}
+        k6y = {FY}
+        xn = x + h * ({A71} * fx + {A73} * k3x + {A74} * k4x
+                      + {A75} * k5x + {A76} * k6x)
+        yn = y + h * ({A71} * fy + {A73} * k3y + {A74} * k4y
+                      + {A75} * k5y + {A76} * k6y)
+        xs, ys = xn, yn
+        k7x = {FX}
+        k7y = {FY}
+
+        ex = h * ({E1} * fx + {E3} * k3x + {E4} * k4x
+                  + {E5} * k5x + {E6} * k6x + {E7} * k7x)
+        ey = h * ({E1} * fy + {E3} * k3y + {E4} * k4y
+                  + {E5} * k5y + {E6} * k6y + {E7} * k7y)
+        scx = tol + tol * max(abs(x), abs(xn))
+        scy = tol + tol * max(abs(y), abs(yn))
+        err = sqrt(0.5 * ((ex / scx) ** 2 + (ey / scy) ** 2))
+
+        fac11 = err ** {EXPO}
+        if err <= 1.0:
+            t = t + h
+            x, y = xn, yn
+            fx, fy = k7x, k7y
+            n_accept += 1
+            worst = max(worst, err)
+            fac = fac11 / facold ** {BETA}
+            fac = max(0.1, min(5.0, fac / {SAFE}))
+            hnew = h / fac
+            if rejected_last:
+                hnew = direction * min(abs(hnew), abs(h))
+            facold = max(err, 1.0e-4)
+            h = hnew
+            rejected_last = False
+        else:
+            h = h / min(5.0, fac11 / {SAFE})
+            n_reject += 1
+            rejected_last = True
+    return x, y, n_accept, n_reject, worst
+"""
 
 
 @dataclass(frozen=True)
@@ -77,117 +196,36 @@ def _merge_stats(a: IntegratorStats, b: IntegratorStats) -> IntegratorStats:
     )
 
 
-def _make_rhs(system) -> Callable:
-    n = float(system.n)
-    inv_n = 1.0 / n
-    gf = compile_scalar(system.g)
-    sf = compile_scalar(system.psi_prime)
-    pf = compile_scalar(system.p)
-    def rhs(t, x, y):
-        return n * y, -n * x - (gf(x) + sf(x) - pf(t)) * inv_n
-    return rhs
+def _build_kernel(system) -> Callable:
+    """Generate and compile the DOPRI5 kernel of one system.
 
-
-def _initial_step(rhs, t0, x0, y0, fx0, fy0, span, direction, tol):
-    scx = tol + tol * abs(x0)
-    scy = tol + tol * abs(y0)
-    d0 = math.sqrt(0.5 * ((x0 / scx) ** 2 + (y0 / scy) ** 2))
-    d1 = math.sqrt(0.5 * ((fx0 / scx) ** 2 + (fy0 / scy) ** 2))
-    h0 = 1.0e-6 if (d0 < 1.0e-5 or d1 < 1.0e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    fx1, fy1 = rhs(t0 + direction * h0, x0 + direction * h0 * fx0,
-                   y0 + direction * h0 * fy0)
-    d2 = math.sqrt(
-        0.5 * (((fx1 - fx0) / scx) ** 2 + ((fy1 - fy0) / scy) ** 2)
-    ) / h0
-    if max(d1, d2) <= 1.0e-15:
-        h1 = max(1.0e-6, h0 * 1.0e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, span)
-
-
-def _dopri5(rhs, t0, x0, y0, t1, tol):
-    """Adaptive 5(4) integration of the pair (x, y) from t0 to t1.
-
-    Error per step is measured in the mixed absolute/relative norm with
-    both tolerances equal to tol; the step controller is the standard
-    proportional-integral rule with growth held back right after a
-    rejection.  Returns (x, y, IntegratorStats).
+    The RHS x' = n y, y' = -n x - (g(x) + psi'(x) - p(t)) / n is inlined
+    at every stage from scalar_source, with n, 1/n and the tableau as
+    literals.
     """
-    span = abs(t1 - t0)
-    if span == 0.0:
-        return x0, y0, IntegratorStats(0, 0, 0.0)
-    direction = 1.0 if t1 > t0 else -1.0
-    t, x, y = t0, x0, y0
-    fx, fy = rhs(t, x, y)
-    h = direction * _initial_step(rhs, t0, x0, y0, fx, fy, span, direction, tol)
-    facold = 1.0e-4
-    rejected_last = False
-    n_accept = 0
-    n_reject = 0
-    worst = 0.0
-    while (t1 - t) * direction > 0.0:
-        if n_accept + n_reject > MAX_STEPS:
-            raise SolverFailureError(
-                "step budget exhausted", t=t, steps=n_accept + n_reject,
-            )
-        if abs(h) < MIN_STEP:
-            raise StiffnessFailureError(
-                "step size underflow", t=t, step=h,
-            )
-        if (t + h - t1) * direction > 0.0:
-            h = t1 - t
+    n = float(system.n)
+    force = (f"{scalar_source(system.g, 'xs')} + "
+             f"{scalar_source(system.psi_prime, 'xs')} - "
+             f"{scalar_source(system.p, 'ts')}")
+    source = _KERNEL_TEMPLATE.format(
+        FX=times_source(n, "ys"),
+        FY=f"{literal(-n)} * xs - {times_source(1.0 / n, f'({force})')}",
+        **{name: literal(v) for name, v in _TABLEAU.items()},
+    )
+    namespace = dict(SCALAR_NAMESPACE, sqrt=math.sqrt,
+                     SolverFailureError=SolverFailureError,
+                     StiffnessFailureError=StiffnessFailureError)
+    exec(compile(source, "<dopri5 kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
-        k2x, k2y = rhs(t + _C2 * h, x + h * _A21 * fx, y + h * _A21 * fy)
-        k3x, k3y = rhs(t + _C3 * h,
-                       x + h * (_A31 * fx + _A32 * k2x),
-                       y + h * (_A31 * fy + _A32 * k2y))
-        k4x, k4y = rhs(t + _C4 * h,
-                       x + h * (_A41 * fx + _A42 * k2x + _A43 * k3x),
-                       y + h * (_A41 * fy + _A42 * k2y + _A43 * k3y))
-        k5x, k5y = rhs(t + _C5 * h,
-                       x + h * (_A51 * fx + _A52 * k2x + _A53 * k3x + _A54 * k4x),
-                       y + h * (_A51 * fy + _A52 * k2y + _A53 * k3y + _A54 * k4y))
-        k6x, k6y = rhs(t + h,
-                       x + h * (_A61 * fx + _A62 * k2x + _A63 * k3x
-                                + _A64 * k4x + _A65 * k5x),
-                       y + h * (_A61 * fy + _A62 * k2y + _A63 * k3y
-                                + _A64 * k4y + _A65 * k5y))
-        xn = x + h * (_A71 * fx + _A73 * k3x + _A74 * k4x
-                      + _A75 * k5x + _A76 * k6x)
-        yn = y + h * (_A71 * fy + _A73 * k3y + _A74 * k4y
-                      + _A75 * k5y + _A76 * k6y)
-        k7x, k7y = rhs(t + h, xn, yn)
 
-        ex = h * (_E1 * fx + _E3 * k3x + _E4 * k4x
-                  + _E5 * k5x + _E6 * k6x + _E7 * k7x)
-        ey = h * (_E1 * fy + _E3 * k3y + _E4 * k4y
-                  + _E5 * k5y + _E6 * k6y + _E7 * k7y)
-        scx = tol + tol * max(abs(x), abs(xn))
-        scy = tol + tol * max(abs(y), abs(yn))
-        err = math.sqrt(0.5 * ((ex / scx) ** 2 + (ey / scy) ** 2))
-
-        fac11 = err ** _EXPO
-        if err <= 1.0:
-            t = t + h
-            x, y = xn, yn
-            fx, fy = k7x, k7y
-            n_accept += 1
-            worst = max(worst, err)
-            fac = fac11 / facold ** _BETA
-            fac = max(0.1, min(5.0, fac / _SAFE))
-            hnew = h / fac
-            if rejected_last:
-                hnew = direction * min(abs(hnew), abs(h))
-            facold = max(err, 1.0e-4)
-            h = hnew
-            rejected_last = False
-        else:
-            h = h / min(5.0, fac11 / _SAFE)
-            n_reject += 1
-            rejected_last = True
-    return x, y, IntegratorStats(n_accept, n_reject, worst * tol)
+def _kernel(system) -> Callable:
+    """The system's kernel, built on its first integration and kept on it."""
+    cache = vars(system)
+    kernel = cache.get("_dopri5_kernel")
+    if kernel is None:
+        kernel = cache["_dopri5_kernel"] = _build_kernel(system)
+    return kernel
 
 
 def _check_tol(tol: float) -> float:
@@ -202,9 +240,9 @@ def _check_tol(tol: float) -> float:
 def integrate_with_stats(system, s0: PhaseState, t1: float, tol: float):
     tol = _check_tol(tol)
     t1 = float(t1)
-    rhs = _make_rhs(system)
-    x, y, stats = _dopri5(rhs, s0.t, s0.x, s0.y, t1, tol)
-    return PhaseState(x=x, y=y, t=t1), stats
+    x, y, steps, rejected, worst = _kernel(system)(
+        float(s0.t), float(s0.x), float(s0.y), t1, tol)
+    return PhaseState(x=x, y=y, t=t1), IntegratorStats(steps, rejected, worst * tol)
 
 
 def integrate(system, s0: PhaseState, t1: float, tol: float) -> PhaseState:

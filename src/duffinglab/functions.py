@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -187,78 +187,81 @@ def evaluate(spec: FunctionSpec, x):
     return float(_eval(spec, float(x)))
 
 
-def compile_scalar(spec: FunctionSpec) -> Callable[[float], float]:
-    """Build a plain-Python scalar callable (fast path for ODE loops)."""
+# names that scalar_source expressions may use besides their variable
+SCALAR_NAMESPACE = {
+    "atan": math.atan, "cos": math.cos, "sin": math.sin,
+    "log1p": math.log1p, "inf": math.inf, "nan": math.nan,
+}
+
+
+def literal(v) -> str:
+    """Python source for the number v that evaluates to the same bits.
+
+    Python ints stay ints; other numbers go through float.  Non-finite
+    values are spelled with the ``inf``/``nan`` names of SCALAR_NAMESPACE.
+    """
+    if not isinstance(v, int):
+        v = float(v)
+        if not math.isfinite(v):
+            return "nan" if math.isnan(v) else ("inf" if v > 0.0 else "(-inf)")
+    return f"({v!r})"
+
+
+def times_source(k, expr: str) -> str:
+    """Source for k * expr.  Multiplying by 1 is exact, so it is left out."""
+    return expr if k == 1 else f"{literal(k)} * {expr}"
+
+
+def scalar_source(spec: FunctionSpec, x: str) -> str:
+    """One Python expression for spec at the float variable named x.
+
+    The operation order is part of the contract: trig terms accumulate
+    from the constant, cos harmonics before sin, skipping zero
+    coefficients; sums of four or more children start from 0.0.  Every
+    scalar evaluator (compile_scalar, the dynamics kernels) is built from
+    this source.
+    """
     if isinstance(spec, Constant):
-        c = spec.c
-        return lambda x: c
+        return literal(spec.c)
     if isinstance(spec, Arctan):
-        s, atan = spec.scale, math.atan
-        return lambda x: s * atan(x)
+        return f"({times_source(spec.scale, f'atan({x})')})"
     if isinstance(spec, AlgebraicTail):
-        c, me = spec.c, -spec.e
-        return lambda x: c * x * (1.0 + x * x) ** me
+        power = f"{x} * (1.0 + {x} * {x}) ** {literal(-spec.e)}"
+        return f"({times_source(spec.c, power)})"
     if isinstance(spec, Rational1):
-        c = spec.c
-        return lambda x: c * x / (1.0 + x * x)
+        return f"({times_source(spec.c, f'{x} / (1.0 + {x} * {x})')})"
     if isinstance(spec, TrigPoly):
         w = TWO_PI / spec.period
-        const = spec.constant
-        terms = []
-        for m, a in enumerate(spec.cos_coeffs, start=1):
-            if a != 0.0:
-                terms.append((m * w, a, math.cos))
-        for m, b in enumerate(spec.sin_coeffs, start=1):
-            if b != 0.0:
-                terms.append((m * w, b, math.sin))
+        terms = [times_source(a, f"{fn}({times_source(m * w, x)})")
+                 for fn, coeffs in (("cos", spec.cos_coeffs), ("sin", spec.sin_coeffs))
+                 for m, a in enumerate(coeffs, start=1) if a != 0.0]
         if not terms:
-            return lambda x: const
-        if len(terms) == 1 and const == 0.0:
-            w1, c1, f1 = terms[0]
-            return lambda x: c1 * f1(w1 * x)
-        terms = tuple(terms)
-
-        def tp(x):
-            acc = const
-            for wm, cm, fm in terms:
-                acc += cm * fm(wm * x)
-            return acc
-
-        return tp
+            return literal(spec.constant)
+        if len(terms) == 1 and spec.constant == 0.0:
+            return f"({terms[0]})"
+        return f"({' + '.join([literal(spec.constant)] + terms)})"
     if isinstance(spec, Sum):
-        kids = tuple(compile_scalar(ch) for ch in spec.children)
-        if len(kids) == 1:
-            return kids[0]
-        if len(kids) == 2:
-            f0, f1 = kids
-            return lambda x: f0(x) + f1(x)
-        if len(kids) == 3:
-            f0, f1, f2 = kids
-            return lambda x: f0(x) + f1(x) + f2(x)
-
-        def sm(x):
-            acc = 0.0
-            for f in kids:
-                acc += f(x)
-            return acc
-
-        return sm
+        kids = [scalar_source(ch, x) for ch in spec.children]
+        if len(kids) > 3:
+            kids.insert(0, "0.0")
+        return kids[0] if len(kids) == 1 else f"({' + '.join(kids)})"
     if isinstance(spec, Scaled):
-        k, f = spec.k, compile_scalar(spec.child)
-        return lambda x: k * f(x)
+        return f"({times_source(spec.k, scalar_source(spec.child, x))})"
     if isinstance(spec, XArctan):
-        k, atan = spec.k, math.atan
-        return lambda x: k * x * atan(x)
+        return f"({times_source(spec.k, f'{x} * atan({x})')})"
     if isinstance(spec, LogSquarePlusOne):
-        k, log1p = spec.k, math.log1p
-        return lambda x: k * log1p(x * x)
+        return f"({times_source(spec.k, f'log1p({x} * {x})')})"
     if isinstance(spec, PowerSquarePlusOne):
-        k, q = spec.k, spec.q
-        return lambda x: k * (1.0 + x * x) ** q
+        power = f"(1.0 + {x} * {x}) ** {literal(spec.q)}"
+        return f"({times_source(spec.k, power)})"
     if isinstance(spec, Linear):
-        k = spec.k
-        return lambda x: k * x
+        return f"({times_source(spec.k, x)})"
     raise SpecValidationError(f"unknown spec node {type(spec).__name__}")
+
+
+def compile_scalar(spec: FunctionSpec) -> Callable[[float], float]:
+    """Build a plain-Python scalar callable from scalar_source."""
+    return eval(f"lambda x: {scalar_source(spec, 'x')}", dict(SCALAR_NAMESPACE))
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +465,6 @@ def trig_shift(tp: TrigPoly, tau: float) -> TrigPoly:
     return TrigPoly(tp.period, tuple(new_cos), tuple(new_sin), tp.constant)
 
 
-def trig_scale(tp: TrigPoly, k: float) -> TrigPoly:
-    return TrigPoly(
-        tp.period,
-        tuple(k * a for a in tp.cos_coeffs),
-        tuple(k * b for b in tp.sin_coeffs),
-        k * tp.constant,
-    )
-
-
 def split_even_linear(spec: FunctionSpec) -> tuple:
     """Split an antiderivative tree into (even part, linear coefficient).
 
@@ -532,9 +526,18 @@ def _require_number(obj, key, path):
     if key not in obj:
         raise SpecValidationError(f"{path}: missing key {key!r}")
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SpecValidationError(f"{path}.{key}: expected a number, got {v!r}")
+    if not _is_finite_number(v):
+        raise SpecValidationError(f"{path}.{key}: expected a finite number, got {v!r}")
     return float(v)
+
+
+def _is_finite_number(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def spec_from_config(obj, path: str = "spec") -> FunctionSpec:
@@ -555,11 +558,10 @@ def spec_from_config(obj, path: str = "spec") -> FunctionSpec:
         cos = obj.get("cos", [])
         sin = obj.get("sin", [])
         for name, seq in (("cos", cos), ("sin", sin)):
-            if not isinstance(seq, list) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in seq
-            ):
-                raise SpecValidationError(f"{path}.{name}: expected a list of numbers")
-        constant = float(obj.get("constant", 0.0))
+            if not isinstance(seq, list) or not all(map(_is_finite_number, seq)):
+                raise SpecValidationError(
+                    f"{path}.{name}: expected a list of finite numbers")
+        constant = _require_number(obj, "constant", path) if "constant" in obj else 0.0
         return TrigPoly(period, tuple(float(v) for v in cos),
                         tuple(float(v) for v in sin), constant)
     if kind == "rational1":
@@ -652,6 +654,11 @@ class DuffingSystem:
     def system_id(self) -> str:
         blob = json.dumps(system_to_config(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+    def __getstate__(self):
+        # only the fields: caches kept on the instance (the dynamics
+        # kernel) are rebuilt on first use and cannot be pickled
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def make_system(n: int, g: FunctionSpec, psi=None, p: TrigPoly = None) -> DuffingSystem:

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,7 @@ from .functions import (
     Sum,
     TrigPoly,
     DuffingSystem,
+    _require_number,
     make_system,
     system_from_config,
     system_to_config,
@@ -72,6 +74,17 @@ class NumericConfig:
     N: int = DEFAULT_N
     horizon: float = DEFAULT_HORIZON
     grids: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # a nan or inf knob would otherwise run to the step budget or
+        # write nan rows; reject it before anything runs
+        checks = {"tol": (self.tol,), "horizon": (self.horizon,)}
+        checks.update((f"grids.{k}", v) for k, v in self.grids.items())
+        for key, values in checks.items():
+            if not all(math.isfinite(v) for v in values):
+                raise SpecValidationError(
+                    f"config.numeric.{key}: expected finite numbers, "
+                    f"got {list(values)}")
 
 
 @dataclass(frozen=True)
@@ -109,11 +122,12 @@ def parse_config(obj: dict) -> ExperimentConfig:
     unknown = set(num) - {"tol", "N", "horizon", "grids"}
     if unknown:
         raise SpecValidationError(f"config.numeric: unknown keys {sorted(unknown)}")
-    tol = float(num.get("tol", DEFAULT_TOL))
+    tol = _require_number(num, "tol", "config.numeric") if "tol" in num else DEFAULT_TOL
     N = num.get("N", DEFAULT_N)
     if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise SpecValidationError(f"config.numeric.N: need a positive integer, got {N!r}")
-    horizon = float(num.get("horizon", DEFAULT_HORIZON))
+    horizon = (_require_number(num, "horizon", "config.numeric")
+               if "horizon" in num else DEFAULT_HORIZON)
     if horizon <= 0.0:
         raise SpecValidationError("config.numeric.horizon: must be positive")
     grids_in = num.get("grids", {})
@@ -127,7 +141,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
             )
         try:
             grids[str(key)] = tuple(float(v) for v in val)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SpecValidationError(
                 f"config.numeric.grids.{key}: entries must be numbers"
             )
@@ -226,27 +240,37 @@ def _initial_state(cfg: ExperimentConfig) -> PhaseState:
     return PhaseState(x=math.sqrt(2.0 * I0 / cfg.system.n), y=0.0, t=t0)
 
 
-def _window(cfg: ExperimentConfig, key: str, lo: float, hi: float, points: int):
-    spec = cfg.numeric.grids.get(key, (lo, hi, points))
+@contextmanager
+def _naming_grid(key: str):
+    """Report a window the library refuses (ValueError) as a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SpecValidationError(f"grids.{key}: {exc}") from None
+
+
+def _window(cfg: ExperimentConfig, key: str, default=None):
+    """(lo, hi, points, geometric grid) of a [lo, hi, points] grid entry."""
+    spec = cfg.numeric.grids.get(key, default)
     if len(spec) != 3:
         raise SpecValidationError(f"grids.{key} must be [lo, hi, points]")
-    return geometric_grid(spec[0], spec[1], int(spec[2]))
+    lo, hi, points = spec[0], spec[1], int(spec[2])
+    with _naming_grid(key):
+        return lo, hi, points, geometric_grid(lo, hi, points)
 
 
 def _run_conditions(cfg: ExperimentConfig):
     report = cond.lazer_leach_report(cfg.system)
     artifacts = [("conditions.json", report.to_json_dict())]
-    window = cfg.numeric.grids.get("beta_window")
-    if window is not None:
-        if len(window) != 3:
-            raise SpecValidationError("grids.beta_window must be [lo, hi, points]")
-        est = cond.critical_d_estimate(
-            cfg.system, h_min=window[0], h_max=window[1], points=int(window[2]))
+    if "beta_window" in cfg.numeric.grids:
+        lo, hi, points, grid = _window(cfg, "beta_window")
+        with _naming_grid("beta_window"):
+            est = cond.critical_d_estimate(
+                cfg.system, h_min=lo, h_max=hi, points=points)
         payload = est.to_json_dict()
         payload["predicted_with_d"] = cond.classify_theorem(cfg.system, est).value
         artifacts.append(("dfit.json", payload))
-        profile = cond.beta_profile(
-            cfg.system, geometric_grid(window[0], window[1], int(window[2])))
+        profile = cond.beta_profile(cfg.system, grid)
         artifacts.append(
             ("beta.csv", ("h", "beta"), [(h, b) for h, b in profile]))
     return artifacts
@@ -274,7 +298,7 @@ def _run_averages(cfg: ExperimentConfig):
 
 
 def _run_oscillatory(cfg: ExperimentConfig):
-    grid = _window(cfg, "h_window", 1.0e4, 1.0e8, 65)
+    grid = _window(cfg, "h_window", (1.0e4, 1.0e8, 65))[3]
     rows = [(h, osc.psi_average(cfg.system, h)) for h in grid]
     fit = osc.decay_fit_envelope(rows, 4.0)
     return [

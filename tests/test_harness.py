@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -337,6 +339,59 @@ def test_cli_argparse_failures_exit_2(tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+
+_NAN_SCALE = {"n": 1, "g": {"kind": "arctan", "scale": math.nan}}
+_INF_FORCING = {"n": 1, "g": {"kind": "arctan", "scale": 1.0},
+                "p": {"kind": "trig_poly", "period": 2.0 * math.pi,
+                      "cos": [math.inf], "sin": []}}
+
+
+@pytest.mark.parametrize("argv, document, named", [
+    (["classify", "--scenario", "ding", "--I0", "nan"], None, "grids.I0"),
+    (["sweep", "--scenario", "ding", "--I0", "100,inf"], None, "grids.I0"),
+    (["simulate", "--scenario", "ding", "--horizon", "inf"], None,
+     "numeric.horizon"),
+    (["simulate", "--scenario", "ding", "--horizon", "nan"], None,
+     "numeric.horizon"),
+    (["classify", "--system"], _NAN_SCALE, "system.g.scale"),
+    (["classify", "--system"], _INF_FORCING, "system.p.cos"),
+    (["run", "--config"], {"system": DING_SYSTEM, "experiment": "classify",
+                           "numeric": {"tol": math.nan}}, "config.numeric.tol"),
+    (["run", "--config"], {"system": DING_SYSTEM, "experiment": "classify",
+                           "numeric": {"grids": {"I0": [math.inf]}}},
+     "grids.I0"),
+])
+def test_cli_rejects_non_finite_numbers(argv, document, named, tmp_path, capsys):
+    if document is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))  # json writes NaN / Infinity
+        argv = argv + [str(path)]
+    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["conditions", "--scenario", "ding", "--beta-window", "1e4,1e5,12"],
+     "grids.beta_window"),
+    (["conditions", "--scenario", "ding", "--beta-window", "1e4,1e9,3"],
+     "grids.beta_window"),
+    (["oscillatory", "--scenario", "ll-bounded", "--h-window", "1e8,1e4,65"],
+     "grids.h_window"),
+])
+def test_cli_bad_window_exits_2_without_traceback(argv, named, tmp_path):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "duffinglab", *argv, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_run_config_file(tmp_path, capsys):
