@@ -16,14 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import functions as fx
-from .errors import (
-    DegenerateStateError,
-    FitDegenerateError,
-    HTooSmallError,
-    SolverFailureError,
-)
+from .errors import DegenerateStateError, FitDegenerateError
 from .fitting import DecayFit, geometric_grid, loglog_fit
-from .quadrature import CumulativeIntegral, even_circle_mean
+from .quadrature import CumulativeIntegral, _pow2_at_least, even_circle_mean
 
 TWO_PI = 2.0 * math.pi
 
@@ -201,102 +196,8 @@ def averaged_forcing_peak(system, h) -> float:
 
 
 # ---------------------------------------------------------------------------
-# energy-time exchange: R solving R = (pieces sum)(h - R)
-# ---------------------------------------------------------------------------
-
-def _perturbation_sup(system) -> float:
-    return (fx.sup_abs(system.g) + fx.sup_abs(system.p)
-            + fx.sup_abs(system.psi_prime))
-
-
-def energy_exchange_floor(system) -> float:
-    """Smallest energy with a guaranteed contraction for the implicit solve.
-
-    The fixed-point map has derivative bounded by S / (n sqrt(2 n I)) with
-    S the structural sup of the perturbation, and the solution keeps
-    I = h - R >= h/2; bisection finds where the bound crosses 1/2, floored
-    at 100.
-    """
-    s_bound = _perturbation_sup(system)
-    if s_bound == 0.0:
-        return 100.0
-
-    def margin(h):
-        return s_bound / (system.n * math.sqrt(system.n * h)) - 0.5
-
-    lo, hi = 1e-6, 1e12
-    if margin(lo) <= 0.0:
-        return 100.0
-    if margin(hi) > 0.0:
-        raise SolverFailureError("no contraction below h = 1e12", sup=s_bound)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if margin(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return max(100.0, hi)
-
-
-def exchange_bound(system, h) -> float:
-    """A priori bound: |R| <= 2 (sup|g|+sup|p|+sup|psi|) sqrt(2/n)/n * h^(1/2)."""
-    s_val = (fx.sup_abs(system.g) + fx.sup_abs(system.p) + fx.sup_abs(system.psi))
-    return 2.0 * s_val * math.sqrt(2.0 / system.n) / system.n * math.sqrt(h)
-
-
-def solve_energy_exchange(system, h, t, theta) -> float:
-    """Solve R = (potential + forcing + oscillating)(h - R, theta, t).
-
-    Damped fixed-point iteration from R = 0, step tolerance
-    1e-12 * max(1, h^(1/2)), residual verified below 1e-10 * max(1, h^(1/2)).
-    """
-    floor = energy_exchange_floor(system)
-    if h < floor:
-        raise HTooSmallError(
-            "energy below the contraction floor", h=h, floor=floor
-        )
-    n = system.n
-    g_pot = fx.compile_scalar(system.potential)
-    psi_fn = fx.compile_scalar(system.psi)
-    p_val = fx.evaluate(system.p, t)
-    cos_nt = math.cos(n * theta)
-    inv_n = 1.0 / n
-
-    def pieces_sum(I):
-        x = math.sqrt(2.0 * I / n) * cos_nt
-        return (g_pot(x) - x * p_val + psi_fn(x)) * inv_n
-
-    scale = max(1.0, math.sqrt(h))
-    step_tol = 1e-12 * scale
-    r_val = 0.0
-    for _ in range(200):
-        target = pieces_sum(h - r_val)
-        new = 0.5 * (r_val + target)
-        if abs(new - r_val) <= step_tol:
-            r_val = new
-            break
-        r_val = new
-        if h - r_val <= 0.0:
-            raise SolverFailureError("iterate left the energy domain", h=h, R=r_val)
-    else:
-        raise SolverFailureError(
-            "energy exchange iteration did not converge", h=h, theta=theta, t=t
-        )
-    residual = abs(r_val - pieces_sum(h - r_val))
-    if residual > 1e-10 * scale:
-        raise SolverFailureError(
-            "energy exchange residual too large", h=h, residual=residual
-        )
-    return r_val
-
-
-# ---------------------------------------------------------------------------
 # first-order generating functions
 # ---------------------------------------------------------------------------
-
-def _pow2_at_least(v):
-    return 1 << max(6, int(math.ceil(math.log2(max(2.0, v)))))
-
 
 @lru_cache(maxsize=64)
 def _potential_shift_integral(system, h):

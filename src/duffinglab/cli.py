@@ -1,9 +1,11 @@
 """Command line front end.
 
 Grammar: duffinglab <subcommand> [--system FILE | --scenario NAME]
-[--out DIR] [--tol V] [--strobes N] [--format csv,json] plus per-subcommand
-knobs.  Exit status 0 on success, 2 on config or validation errors, 3 on
-numeric failures (which also leave errors.json in the output directory).
+[--out DIR] [--format csv,json] plus per-subcommand knobs; the subcommands
+that integrate orbits (simulate, poincare, classify, sweep, escape-scan)
+also take [--tol V] [--strobes N].  Exit status 0 on success, 2 on config
+or validation errors, 3 on numeric failures (which also leave errors.json
+in the output directory).
 """
 from __future__ import annotations
 
@@ -61,12 +63,15 @@ def _parser() -> argparse.ArgumentParser:
                      help="builtin scenario system alias")
     common.add_argument("--out", metavar="DIR", default=".",
                         help="output directory (default: current)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="integration / quadrature tolerance")
-    common.add_argument("--strobes", type=int, default=None,
-                        help="iterate count for map-based experiments")
     common.add_argument("--format", type=_format_arg, default=harness.FORMATS,
                         help="artifact formats, e.g. csv,json")
+
+    # knobs of the subcommands that integrate orbits; the others reject them
+    integrating = argparse.ArgumentParser(add_help=False, parents=[common])
+    integrating.add_argument("--tol", type=float, default=None,
+                             help="integration tolerance")
+    integrating.add_argument("--strobes", type=int, default=None,
+                             help="iterate count for map-based experiments")
 
     p = sub.add_parser("conditions", parents=[common],
                        help="resonance balance report, optional tail fit")
@@ -86,7 +91,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--h-window", type=_window_arg, default=(1.0e4, 1.0e8, 65.0),
                    metavar="LO,HI,POINTS", help="energy window for the scan")
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[integrating],
                        help="dense trajectory samples over a time horizon")
     p.add_argument("--I0", type=float, default=100.0, help="initial action")
     p.add_argument("--t0", type=float, default=0.0, help="initial time")
@@ -95,17 +100,17 @@ def _parser() -> argparse.ArgumentParser:
 
     for name, blurb in (("poincare", "period-strobe orbit samples"),
                         ("classify", "strobe orbit plus growth verdict")):
-        p = sub.add_parser(name, parents=[common], help=blurb)
+        p = sub.add_parser(name, parents=[integrating], help=blurb)
         p.add_argument("--I0", type=float, default=100.0, help="initial action")
         p.add_argument("--t0", type=float, default=0.0, help="initial time")
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[integrating],
                        help="verdicts over a grid of initial actions")
     p.add_argument("--I0", type=_float_list, required=True, metavar="LIST",
                    help="comma-separated initial actions")
     p.add_argument("--t0", type=float, default=0.0, help="initial time")
 
-    p = sub.add_parser("escape-scan", parents=[common],
+    p = sub.add_parser("escape-scan", parents=[integrating],
                        help="verdicts over a grid of strobe phases")
     p.add_argument("--I0", type=float, default=1.0e4, help="initial action")
     p.add_argument("--phases", type=int, default=64,
@@ -146,19 +151,6 @@ def _load_system(args):
     raise SpecValidationError("provide --system FILE or --scenario NAME")
 
 
-_EXPERIMENT_OF = {
-    "conditions": "conditions",
-    "averages": "averages",
-    "oscillatory": "oscillatory",
-    "simulate": "simulate",
-    "poincare": "poincare",
-    "classify": "classify",
-    "sweep": "sweep",
-    "escape-scan": "escape_scan",
-    "normalform-check": "normalform_check",
-}
-
-
 def _collect_grids(args) -> dict:
     grids = {}
     cmd = args.command
@@ -195,15 +187,16 @@ _DEFAULT_STROBES = {
 
 def _run_experiment(args) -> int:
     system = _load_system(args)
-    N = args.strobes
+    N = getattr(args, "strobes", None)
     if N is None:
         N = _DEFAULT_STROBES.get(args.command, harness.DEFAULT_N)
+    tol = getattr(args, "tol", None)
     horizon = getattr(args, "horizon", harness.DEFAULT_HORIZON)
     cfg = harness.ExperimentConfig(
         system=system,
-        experiment=_EXPERIMENT_OF[args.command],
+        experiment=args.command.replace("-", "_"),
         numeric=harness.NumericConfig(
-            tol=args.tol if args.tol is not None else harness.DEFAULT_TOL,
+            tol=tol if tol is not None else harness.DEFAULT_TOL,
             N=N,
             horizon=horizon,
             grids=_collect_grids(args),

@@ -19,6 +19,7 @@ import numpy as np
 
 from .actionangle import PhaseState
 from .errors import (
+    ArithmeticFailureError,
     DegenerateStateError,
     DuffingLabError,
     FitDegenerateError,
@@ -239,9 +240,15 @@ def _check_tol(tol: float) -> float:
 
 def integrate_with_stats(system, s0: PhaseState, t1: float, tol: float):
     tol = _check_tol(tol)
-    t1 = float(t1)
-    x, y, steps, rejected, worst = _kernel(system)(
-        float(s0.t), float(s0.x), float(s0.y), t1, tol)
+    t0, t1 = float(s0.t), float(t1)
+    try:
+        x, y, steps, rejected, worst = _kernel(system)(
+            t0, float(s0.x), float(s0.y), t1, tol)
+    except ArithmeticError as exc:
+        # float ** overflows and x / 0.0 raise instead of giving inf or nan
+        raise ArithmeticFailureError(
+            f"{type(exc).__name__} in the integrator: {exc}", t0=t0, t1=t1,
+        ) from exc
     return PhaseState(x=x, y=y, t=t1), IntegratorStats(steps, rejected, worst * tol)
 
 
@@ -474,6 +481,18 @@ class ClassificationVerdict:
         return out
 
 
+def _tail_fit(rec: OrbitRecord) -> Optional[DecayFit]:
+    """Fit of log I against log t on the final half of a record, if any."""
+    tail = rec.iterates[len(rec.iterates) // 2:]
+    times = np.array([rec.initial.t + TWO_PI * it.k for it in tail])
+    vals = np.array([it.I for it in tail])
+    keep = times > 0.0
+    try:
+        return loglog_fit(times[keep], vals[keep])
+    except (FitDegenerateError, ValueError):
+        return None
+
+
 def classify_orbit(rec: OrbitRecord, escape_factor: float = 4.0,
                    confine_factor: float = 3.0) -> ClassificationVerdict:
     """Bounded/escaping verdict from a strobe record.
@@ -491,16 +510,8 @@ def classify_orbit(rec: OrbitRecord, escape_factor: float = 4.0,
     min_I = float(actions.min())
     horizon = len(its) - 1
 
-    growth_fit = None
     if max_I >= escape_factor * I0:
-        tail = its[len(its) // 2:]
-        times = np.array([rec.initial.t + TWO_PI * it.k for it in tail])
-        vals = np.array([it.I for it in tail])
-        keep = times > 0.0
-        try:
-            growth_fit = loglog_fit(times[keep], vals[keep])
-        except (FitDegenerateError, ValueError):
-            growth_fit = None
+        growth_fit = _tail_fit(rec)
         if growth_fit is not None and growth_fit.slope > 0.0:
             return ClassificationVerdict(
                 VERDICT_ESCAPING, max_I, min_I, growth_fit, horizon)
@@ -522,20 +533,24 @@ def sweep(system, initial_grid, N: int, tol: float):
     initials = list(initial_grid)
     if not initials:
         raise SpecValidationError("initial grid must be nonempty")
-    out = []
-    for s0 in initials:
-        try:
-            out.append(classify_orbit(orbit(system, s0, N, tol)))
-        except DuffingLabError as exc:
-            out.append(ClassificationVerdict(
-                verdict=VERDICT_UNDECIDED,
-                max_I=math.nan,
-                min_I=math.nan,
-                growth_fit=None,
-                horizon_strobes=0,
-                error=f"{type(exc).__name__}: {exc}",
-            ))
-    return out
+    return [_orbit_slot(system, s0, N, tol)[1] for s0 in initials]
+
+
+def _orbit_slot(system, s0: PhaseState, N: int, tol: float) -> tuple:
+    """(record, verdict) of one orbit of a scan.
+
+    A failure fills the slot with no record and an Undecided verdict that
+    carries the error message, so it never aborts the rest of the scan.
+    """
+    try:
+        rec = orbit(system, s0, N, tol)
+        return rec, classify_orbit(rec)
+    except DuffingLabError as exc:
+        return None, ClassificationVerdict(
+            verdict=VERDICT_UNDECIDED, max_I=math.nan, min_I=math.nan,
+            growth_fit=None, horizon_strobes=0,
+            error=f"{type(exc).__name__}: {exc}",
+        )
 
 
 @dataclass(frozen=True)
@@ -562,18 +577,6 @@ class EscapeScan:
         }
 
 
-def _tail_slope(rec: OrbitRecord) -> Optional[float]:
-    """Slope of log I against log t on the final half of a record."""
-    tail = rec.iterates[len(rec.iterates) // 2:]
-    times = np.array([rec.initial.t + TWO_PI * it.k for it in tail])
-    vals = np.array([it.I for it in tail])
-    keep = times > 0.0
-    try:
-        return loglog_fit(times[keep], vals[keep]).slope
-    except (FitDegenerateError, ValueError):
-        return None
-
-
 def critical_escape_scan(system, I0: float, phases: int, N: int,
                          tol: float) -> EscapeScan:
     """Probe escape over forcing phases t0 = 2*pi*k/phases from action I0.
@@ -592,17 +595,8 @@ def critical_escape_scan(system, I0: float, phases: int, N: int,
     best_idx = 0
     best_rec = None
     for k in range(phases):
-        t0 = TWO_PI * k / phases
-        try:
-            rec = orbit(system, PhaseState(x=x0, y=0.0, t=t0), N, tol)
-            v = classify_orbit(rec)
-        except DuffingLabError as exc:
-            rec = None
-            v = ClassificationVerdict(
-                verdict=VERDICT_UNDECIDED, max_I=math.nan, min_I=math.nan,
-                growth_fit=None, horizon_strobes=0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+        rec, v = _orbit_slot(
+            system, PhaseState(x=x0, y=0.0, t=TWO_PI * k / phases), N, tol)
         verdicts.append(v)
         best_max = verdicts[best_idx].max_I
         if rec is not None and not math.isnan(v.max_I) and (
@@ -615,11 +609,12 @@ def critical_escape_scan(system, I0: float, phases: int, N: int,
         1 for v in verdicts
         if v.growth_fit is not None and v.growth_fit.slope > 0.0
     )
+    best_fit = None if best_rec is None else _tail_fit(best_rec)
     return EscapeScan(
         best_phase_index=best_idx,
         best_t0=TWO_PI * best_idx / phases,
         best=verdicts[best_idx],
-        best_tail_slope=None if best_rec is None else _tail_slope(best_rec),
+        best_tail_slope=None if best_fit is None else best_fit.slope,
         n_escaping=n_escaping,
         n_positive_tail=n_positive,
         verdicts=tuple(verdicts),

@@ -48,12 +48,16 @@ class StiffnessFailureError(NumericFailureError):
     """Adaptive step size underflowed."""
 
 
+class ArithmeticFailureError(NumericFailureError):
+    """Floating-point arithmetic overflowed or divided by zero."""
+
+
 class AmplitudeTooLargeError(NumericFailureError):
     """Oscillation amplitude beyond the supported quadrature range."""
 
 
 class HTooSmallError(NumericFailureError):
-    """Energy below the contraction floor of the implicit solve."""
+    """Energy below the range where an averaged term is defined."""
 
 
 class FitDegenerateError(NumericFailureError):

@@ -1,8 +1,8 @@
 """Closed function grammar for restoring, oscillating, and forcing terms.
 
 Everything the laboratory integrates is assembled from a small fixed set of
-shapes, so limits at infinity, antiderivatives, Fourier data, and sup bounds
-are computed structurally from the expression tree rather than numerically.
+shapes, so limits at infinity, antiderivatives and Fourier data are
+computed structurally from the expression tree rather than numerically.
 Four extra shapes (XArctan, LogSquarePlusOne, PowerSquarePlusOne, Linear)
 exist only so antiderivatives stay inside the grammar; they never appear in
 configs.
@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -143,50 +144,6 @@ _CONFIG_KINDS = ("constant", "arctan", "algebraic_tail", "trig_poly",
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _eval(spec, x):
-    if isinstance(spec, Constant):
-        return spec.c if not isinstance(x, np.ndarray) else np.full_like(x, spec.c, dtype=float)
-    if isinstance(spec, Arctan):
-        return spec.scale * np.arctan(x)
-    if isinstance(spec, AlgebraicTail):
-        return spec.c * x * (1.0 + x * x) ** (-spec.e)
-    if isinstance(spec, Rational1):
-        return spec.c * x / (1.0 + x * x)
-    if isinstance(spec, TrigPoly):
-        w = TWO_PI / spec.period
-        acc = spec.constant if not isinstance(x, np.ndarray) else np.full_like(x, spec.constant, dtype=float)
-        for m, a in enumerate(spec.cos_coeffs, start=1):
-            if a != 0.0:
-                acc = acc + a * np.cos((m * w) * x)
-        for m, b in enumerate(spec.sin_coeffs, start=1):
-            if b != 0.0:
-                acc = acc + b * np.sin((m * w) * x)
-        return acc
-    if isinstance(spec, Sum):
-        acc = _eval(spec.children[0], x)
-        for ch in spec.children[1:]:
-            acc = acc + _eval(ch, x)
-        return acc
-    if isinstance(spec, Scaled):
-        return spec.k * _eval(spec.child, x)
-    if isinstance(spec, XArctan):
-        return spec.k * x * np.arctan(x)
-    if isinstance(spec, LogSquarePlusOne):
-        return spec.k * np.log1p(x * x)
-    if isinstance(spec, PowerSquarePlusOne):
-        return spec.k * (1.0 + x * x) ** spec.q
-    if isinstance(spec, Linear):
-        return spec.k * x
-    raise SpecValidationError(f"unknown spec node {type(spec).__name__}")
-
-
-def evaluate(spec: FunctionSpec, x):
-    """Evaluate at a float or ndarray argument."""
-    if isinstance(x, np.ndarray):
-        return _eval(spec, x.astype(float, copy=False))
-    return float(_eval(spec, float(x)))
-
-
 # names that scalar_source expressions may use besides their variable
 SCALAR_NAMESPACE = {
     "atan": math.atan, "cos": math.cos, "sin": math.sin,
@@ -218,8 +175,8 @@ def scalar_source(spec: FunctionSpec, x: str) -> str:
     The operation order is part of the contract: trig terms accumulate
     from the constant, cos harmonics before sin, skipping zero
     coefficients; sums of four or more children start from 0.0.  Every
-    scalar evaluator (compile_scalar, the dynamics kernels) is built from
-    this source.
+    evaluator (compile_scalar, evaluate, the dynamics kernels) is built
+    from this source.
     """
     if isinstance(spec, Constant):
         return literal(spec.c)
@@ -262,6 +219,31 @@ def scalar_source(spec: FunctionSpec, x: str) -> str:
 def compile_scalar(spec: FunctionSpec) -> Callable[[float], float]:
     """Build a plain-Python scalar callable from scalar_source."""
     return eval(f"lambda x: {scalar_source(spec, 'x')}", dict(SCALAR_NAMESPACE))
+
+
+# the same source evaluated with numpy's functions, for floats and arrays
+_NUMPY_NAMESPACE = dict(SCALAR_NAMESPACE, atan=np.arctan, cos=np.cos,
+                        sin=np.sin, log1p=np.log1p)
+
+
+@lru_cache(maxsize=256)
+def _compile_numpy(spec: FunctionSpec) -> Callable:
+    return eval(f"lambda x: {scalar_source(spec, 'x')}", dict(_NUMPY_NAMESPACE))
+
+
+def evaluate(spec: FunctionSpec, x):
+    """Evaluate at a float or ndarray argument."""
+    f = _compile_numpy(spec)
+    if isinstance(x, np.ndarray):
+        x = x.astype(float, copy=False)
+        value = f(x)
+        if value is x:  # the source of Linear(1) is x itself
+            return x.copy()
+        if isinstance(value, (np.ndarray, np.generic)):
+            return value
+        # the source of a constant spec never reads x
+        return np.full(x.shape, value, dtype=float)
+    return float(f(float(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +350,6 @@ def limit_gap(spec: FunctionSpec) -> float:
     """g(+inf) - g(-inf)."""
     lo, hi = limits_at_infinity(spec)
     return hi - lo
-
-
-def sup_abs(spec: FunctionSpec) -> float:
-    """Structural upper bound for sup |f| (exact on leaves, subadditive)."""
-    if isinstance(spec, Constant):
-        return abs(spec.c)
-    if isinstance(spec, Arctan):
-        return abs(spec.scale) * 0.5 * math.pi
-    if isinstance(spec, AlgebraicTail):
-        # peak of |x|(1+x^2)^(-e) at x^2 = 1/(2e-1)
-        u = 1.0 / (2.0 * spec.e - 1.0)
-        return abs(spec.c) * math.sqrt(u) * (1.0 + u) ** (-spec.e)
-    if isinstance(spec, Rational1):
-        return 0.5 * abs(spec.c)
-    if isinstance(spec, TrigPoly):
-        return (abs(spec.constant) + sum(abs(a) for a in spec.cos_coeffs)
-                + sum(abs(b) for b in spec.sin_coeffs))
-    if isinstance(spec, Sum):
-        return sum(sup_abs(ch) for ch in spec.children)
-    if isinstance(spec, Scaled):
-        return abs(spec.k) * sup_abs(spec.child)
-    raise InadmissibleFunctionError(
-        f"no sup bound for unbounded shape {type(spec).__name__}"
-    )
 
 
 def zero_mean_normalize(spec: FunctionSpec, period: float) -> FunctionSpec:
@@ -598,16 +556,16 @@ def validate_restoring(spec: FunctionSpec, path: str = "g") -> None:
     )
 
 
-def _collect_periods(spec, out):
-    if isinstance(spec, TrigPoly):
-        out.append(spec.period)
+def periodic_leaves(spec: FunctionSpec, scale: float = 1.0):
+    """Yield (scale, leaf) for the TrigPoly and Constant leaves of a periodic
+    spec, depth first; scale is the product of the enclosing Scaled factors."""
+    if isinstance(spec, (TrigPoly, Constant)):
+        yield scale, spec
     elif isinstance(spec, Sum):
         for ch in spec.children:
-            _collect_periods(ch, out)
+            yield from periodic_leaves(ch, scale)
     elif isinstance(spec, Scaled):
-        _collect_periods(spec.child, out)
-    elif isinstance(spec, Constant):
-        pass
+        yield from periodic_leaves(spec.child, scale * spec.k)
     else:
         raise InadmissibleFunctionError(
             f"{type(spec).__name__} is not admissible as a periodic term"
@@ -620,8 +578,8 @@ def periodic_period(spec: FunctionSpec, default: float = None) -> float:
     A spec with no trig poly (pure constant) has any period; ``default``
     is used when given, otherwise that is an error.
     """
-    periods: list = []
-    _collect_periods(spec, periods)
+    periods = [leaf.period for _, leaf in periodic_leaves(spec)
+               if isinstance(leaf, TrigPoly)]
     if not periods:
         if default is not None:
             return default

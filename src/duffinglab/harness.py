@@ -509,76 +509,16 @@ def _linear_system() -> DuffingSystem:
     return make_system(1, Constant(0.0))
 
 
-def _cfg(system, experiment, subdir, tol, N, grids) -> ExperimentConfig:
-    return ExperimentConfig(
-        system=system,
-        experiment=experiment,
-        numeric=NumericConfig(tol=tol, N=N, grids=grids),
-        output=OutputConfig(dir=subdir),
-    )
-
-
 @dataclass(frozen=True)
 class Scenario:
     name: str
     description: str
-    runs: tuple  # of (slug, builder(out_dir, tol, N) -> ExperimentConfig)
+    # rows of (slug, system alias, experiment, default tol, default N, grids)
+    runs: tuple
 
 
-def _scenario_ding() -> tuple:
-    sys_ = _ding_system()
-    return (
-        ("conditions", lambda out, tol, N: _cfg(
-            sys_, "conditions", out, tol or DEFAULT_TOL, N or 500, {})),
-        ("classify", lambda out, tol, N: _cfg(
-            sys_, "classify", out, tol or DEFAULT_TOL, N or 500,
-            {"I0": (25.0,)})),
-    )
-
-
-def _scenario_ll_bounded() -> tuple:
-    sys_ = _ll_bounded_system()
-    I0_grid = tuple(geometric_grid(50.0, 500.0, 20))
-    return (
-        ("conditions", lambda out, tol, N: _cfg(
-            sys_, "conditions", out, tol or DEFAULT_TOL, N or 500, {})),
-        ("sweep", lambda out, tol, N: _cfg(
-            sys_, "sweep", out, tol or DEFAULT_TOL, N or 2000,
-            {"I0": I0_grid})),
-    )
-
-
-def _scenario_critical_pair() -> tuple:
-    below = _critical_below_system()
-    above = _critical_above_system()
-    beta_window = (1.0e4, 1.0e9, 12.0)
-    scan_grids = {"I0": (1.0e4,), "phases": (64.0,)}
-    return (
-        ("below-conditions", lambda out, tol, N: _cfg(
-            below, "conditions", out, tol or DEFAULT_TOL, N or 500,
-            {"beta_window": beta_window})),
-        ("below-escape", lambda out, tol, N: _cfg(
-            below, "escape_scan", out, tol or DEFAULT_TOL, N or 2000,
-            scan_grids)),
-        ("above-conditions", lambda out, tol, N: _cfg(
-            above, "conditions", out, tol or DEFAULT_TOL, N or 500,
-            {"beta_window": beta_window})),
-        ("above-escape", lambda out, tol, N: _cfg(
-            above, "escape_scan", out, tol or DEFAULT_TOL, N or 2000,
-            scan_grids)),
-    )
-
-
-def _scenario_linear() -> tuple:
-    sys_ = _linear_system()
-    return (
-        ("conditions", lambda out, tol, N: _cfg(
-            sys_, "conditions", out, tol or DEFAULT_TOL, N or 500, {})),
-        ("classify", lambda out, tol, N: _cfg(
-            sys_, "classify", out, tol or 1.0e-12, N or 100,
-            {"I0": (100.0,)})),
-    )
-
+_BETA_WINDOW = {"beta_window": (1.0e4, 1.0e9, 12.0)}
+_SCAN_GRIDS = {"I0": (1.0e4,), "phases": (64.0,)}
 
 SCENARIOS = (
     Scenario(
@@ -588,7 +528,10 @@ SCENARIOS = (
             "(strictly above the Lazer-Leach equality); every orbit "
             "climbs, reproduced as an Escaping verdict from I0=25."
         ),
-        runs=_scenario_ding(),
+        runs=(
+            ("conditions", "ding", "conditions", DEFAULT_TOL, 500, {}),
+            ("classify", "ding", "classify", DEFAULT_TOL, 500, {"I0": (25.0,)}),
+        ),
     ),
     Scenario(
         name="ll-bounded",
@@ -597,7 +540,11 @@ SCENARIOS = (
             "spatially periodic perturbation; a 20-orbit sweep from "
             "I0 in [50, 500] stays confined (BoundedEvidence)."
         ),
-        runs=_scenario_ll_bounded(),
+        runs=(
+            ("conditions", "ll-bounded", "conditions", DEFAULT_TOL, 500, {}),
+            ("sweep", "ll-bounded", "sweep", DEFAULT_TOL, 2000,
+             {"I0": tuple(geometric_grid(50.0, 500.0, 20))}),
+        ),
     ),
     Scenario(
         name="critical-pair",
@@ -607,7 +554,16 @@ SCENARIOS = (
             "(fitted d < 1) never earns an Escaping verdict over a 64-phase "
             "scan, the open member (fitted d > 1) shows climbing orbits."
         ),
-        runs=_scenario_critical_pair(),
+        runs=(
+            ("below-conditions", "critical-pair-below", "conditions",
+             DEFAULT_TOL, 500, _BETA_WINDOW),
+            ("below-escape", "critical-pair-below", "escape_scan",
+             DEFAULT_TOL, 2000, _SCAN_GRIDS),
+            ("above-conditions", "critical-pair-above", "conditions",
+             DEFAULT_TOL, 500, _BETA_WINDOW),
+            ("above-escape", "critical-pair-above", "escape_scan",
+             DEFAULT_TOL, 2000, _SCAN_GRIDS),
+        ),
     ),
     Scenario(
         name="linear",
@@ -615,7 +571,10 @@ SCENARIOS = (
             "Free linear oscillator baseline: strobe map is the identity, "
             "action is conserved, classification is BoundedEvidence."
         ),
-        runs=_scenario_linear(),
+        runs=(
+            ("conditions", "linear", "conditions", DEFAULT_TOL, 500, {}),
+            ("classify", "linear", "classify", 1.0e-12, 100, {"I0": (100.0,)}),
+        ),
     ),
 )
 
@@ -646,7 +605,7 @@ def list_scenarios() -> list:
         {
             "name": s.name,
             "description": s.description,
-            "runs": [slug for slug, _ in s.runs],
+            "runs": [row[0] for row in s.runs],
         }
         for s in SCENARIOS
     ]
@@ -662,7 +621,12 @@ def run_scenario(name: str, out_dir: str, tol: float = None,
         )
     scenario = _SCENARIO_INDEX[name]
     written = []
-    for slug, builder in scenario.runs:
-        cfg = builder(os.path.join(out_dir, slug), tol, strobes)
-        written.extend(run(cfg))
+    for slug, alias, experiment, default_tol, default_N, grids in scenario.runs:
+        written.extend(run(ExperimentConfig(
+            system=scenario_system(alias),
+            experiment=experiment,
+            numeric=NumericConfig(tol=tol or default_tol,
+                                  N=strobes or default_N, grids=grids),
+            output=OutputConfig(dir=os.path.join(out_dir, slug)),
+        )))
     return written

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AmplitudeTooLargeError,
-    HTooSmallError,
-    InadmissibleFunctionError,
-    SpecValidationError,
-)
+from .errors import AmplitudeTooLargeError, HTooSmallError, SpecValidationError
 from .fitting import DecayFit, envelope_fit, envelope_points, geometric_grid
-from .functions import Constant, Scaled, Sum, TrigPoly
-from .quadrature import even_circle_mean, periodic_mean, simpson_integral
+from .functions import Constant, harmonic, periodic_leaves
+from .quadrature import (
+    _pow2_at_least,
+    even_circle_mean,
+    periodic_mean,
+    simpson_integral,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,13 +32,6 @@ CIRCLE_ABS_TOL = 1.0e-12
 # full-circle nodes per unit amplitude; 16 samples per oscillation of
 # cos(a cos u) keeps the trapezoid's aliasing error far below 1e-12
 NODES_PER_AMPLITUDE = 16.0
-
-
-def _pow2_at_least(m: float) -> int:
-    n = 64
-    while n < m:
-        n *= 2
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -179,29 +172,22 @@ def oscillatory_sample(a: float, n: int = 1) -> OscillatorySample:
 # averaged spatially-periodic term
 # ---------------------------------------------------------------------------
 
-def _collect_harmonics(spec, scale, constant, harmonics):
-    if isinstance(spec, TrigPoly):
-        constant += scale * spec.constant
-        width = max(len(spec.cos_coeffs), len(spec.sin_coeffs))
-        for m in range(1, width + 1):
-            c = spec.cos_coeffs[m - 1] if m <= len(spec.cos_coeffs) else 0.0
-            s = spec.sin_coeffs[m - 1] if m <= len(spec.sin_coeffs) else 0.0
+def _psi_harmonics(psi):
+    """(constant, {m: (cos, sin)}) of a periodic spec, summed over its leaves."""
+    constant = 0.0
+    harmonics: dict = {}
+    for scale, leaf in periodic_leaves(psi):
+        if isinstance(leaf, Constant):
+            constant += scale * leaf.c
+            continue
+        constant += scale * leaf.constant
+        for m in range(1, max(len(leaf.cos_coeffs), len(leaf.sin_coeffs)) + 1):
+            c, s = harmonic(leaf, m)
             if c == 0.0 and s == 0.0:
                 continue
             oc, os = harmonics.get(m, (0.0, 0.0))
             harmonics[m] = (oc + scale * c, os + scale * s)
-        return constant
-    if isinstance(spec, Constant):
-        return constant + scale * spec.c
-    if isinstance(spec, Sum):
-        for ch in spec.children:
-            constant = _collect_harmonics(ch, scale, constant, harmonics)
-        return constant
-    if isinstance(spec, Scaled):
-        return _collect_harmonics(spec.child, scale * spec.k, constant, harmonics)
-    raise InadmissibleFunctionError(
-        f"{type(spec).__name__} is not admissible inside a periodic term"
-    )
+    return constant, harmonics
 
 
 def psi_average(system, h: float) -> float:
@@ -218,8 +204,7 @@ def psi_average(system, h: float) -> float:
     n = system.n
     amp = math.sqrt(2.0 * h / n)
     w = TWO_PI / system.psi_period
-    harmonics: dict = {}
-    constant = _collect_harmonics(system.psi, 1.0, 0.0, harmonics)
+    constant, harmonics = _psi_harmonics(system.psi)
     value = constant
     for m in sorted(harmonics):
         c, _ = harmonics[m]
@@ -239,8 +224,7 @@ def psi_harmonic_samples(system, h: float) -> dict:
         raise HTooSmallError("averaged periodic term needs h >= 1", h=h)
     amp = math.sqrt(2.0 * h / system.n)
     w = TWO_PI / system.psi_period
-    harmonics: dict = {}
-    _collect_harmonics(system.psi, 1.0, 0.0, harmonics)
+    _, harmonics = _psi_harmonics(system.psi)
     return {
         m: oscillatory_sample(m * w * amp, system.n)
         for m in sorted(harmonics)

@@ -10,6 +10,51 @@ from .errors import PrecisionFailureError
 TWO_PI = 2.0 * math.pi
 
 
+def _pow2_at_least(m: float) -> int:
+    """Smallest power of two that is at least 64 and at least m."""
+    n = 64
+    while n < m:
+        n *= 2
+    return n
+
+
+def _doubling_ladder(f, first_sum, panels, step, per_panel,
+                     rel_tol, abs_tol, n_cap, what):
+    """Trapezoid sum refined by node doubling until it settles.
+
+    ``first_sum()`` is the weighted sum of f over ``panels`` panels of
+    width ``step``; each doubling adds the midpoints, so every earlier node
+    is reused.  Converged when one doubling moves the mean by less than the
+    tolerance; reaching the node cap without converging is a precision
+    failure.  Node counts are panels * per_panel.
+
+    Returns (mean, nodes_used).
+    """
+    if rel_tol is None and abs_tol is None:
+        raise ValueError("need rel_tol or abs_tol")
+    total = first_sum()
+    mean = total / panels
+    gap = math.inf
+    while panels * per_panel < n_cap:
+        total += float(np.sum(f((np.arange(panels) + 0.5) * step)))
+        panels *= 2
+        step *= 0.5
+        new = total / panels
+        gap = abs(new - mean)
+        tol = 0.0
+        if rel_tol is not None:
+            tol = rel_tol * abs(new)
+        if abs_tol is not None:
+            tol = max(tol, abs_tol)
+        mean = new
+        if gap <= tol:
+            return mean, panels * per_panel
+    raise PrecisionFailureError(
+        f"{what} did not converge before the node cap",
+        nodes=panels * per_panel, cap=n_cap, last_gap=gap,
+    )
+
+
 def periodic_mean(f, rel_tol=None, abs_tol=None, n_start=64, n_cap=2 ** 20):
     """Mean of a 2*pi-periodic function by trapezoid with node doubling.
 
@@ -20,30 +65,11 @@ def periodic_mean(f, rel_tol=None, abs_tol=None, n_start=64, n_cap=2 ** 20):
 
     Returns (mean, nodes_used).
     """
-    if rel_tol is None and abs_tol is None:
-        raise ValueError("need rel_tol or abs_tol")
     n = int(n_start)
-    total = float(np.sum(f(np.arange(n) * (TWO_PI / n))))
-    mean = total / n
-    gap = math.inf
-    while n < n_cap:
-        mids = (np.arange(n) + 0.5) * (TWO_PI / n)
-        total += float(np.sum(f(mids)))
-        n *= 2
-        new = total / n
-        gap = abs(new - mean)
-        tol = 0.0
-        if rel_tol is not None:
-            tol = rel_tol * abs(new)
-        if abs_tol is not None:
-            tol = max(tol, abs_tol)
-        mean = new
-        if gap <= tol:
-            return mean, n
-    raise PrecisionFailureError(
-        "periodic mean did not converge before the node cap",
-        nodes=n, cap=n_cap, last_gap=gap,
-    )
+    step = TWO_PI / n
+    return _doubling_ladder(
+        f, lambda: float(np.sum(f(np.arange(n) * step))), n, step, 1,
+        rel_tol, abs_tol, n_cap, "periodic mean")
 
 
 def even_circle_mean(f_even, rel_tol=None, abs_tol=None, n_start=64, n_cap=2 ** 20):
@@ -57,37 +83,18 @@ def even_circle_mean(f_even, rel_tol=None, abs_tol=None, n_start=64, n_cap=2 ** 
 
     Returns (mean, effective_full_circle_nodes).
     """
-    if rel_tol is None and abs_tol is None:
-        raise ValueError("need rel_tol or abs_tol")
     n = int(n_start)
     if n % 4:
         n = 4 * (n // 4 + 1)
     m = n // 4
     h = (0.5 * math.pi) / m
-    vals = f_even(np.arange(m + 1) * h)
-    total = float(np.sum(vals[1:-1])) + 0.5 * (float(vals[0]) + float(vals[-1]))
-    mean = total / m
-    gap = math.inf
-    while n < n_cap:
-        mids = (np.arange(m) + 0.5) * h
-        total += float(np.sum(f_even(mids)))
-        m *= 2
-        n *= 2
-        h *= 0.5
-        new = total / m
-        gap = abs(new - mean)
-        tol = 0.0
-        if rel_tol is not None:
-            tol = rel_tol * abs(new)
-        if abs_tol is not None:
-            tol = max(tol, abs_tol)
-        mean = new
-        if gap <= tol:
-            return mean, n
-    raise PrecisionFailureError(
-        "circle mean did not converge before the node cap",
-        nodes=n, cap=n_cap, last_gap=gap,
-    )
+
+    def first_sum():
+        vals = f_even(np.arange(m + 1) * h)
+        return float(np.sum(vals[1:-1])) + 0.5 * (float(vals[0]) + float(vals[-1]))
+
+    return _doubling_ladder(f_even, first_sum, m, h, 4,
+                            rel_tol, abs_tol, n_cap, "circle mean")
 
 
 def periodic_sum_mean(f, n_nodes):

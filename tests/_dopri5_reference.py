@@ -1,13 +1,16 @@
-"""The closure-based DOPRI5 integrator, kept as the reference for the kernels.
+"""The hand-written evaluators and integrator, kept as references.
 
-This is the integrator the library ran before each system's RHS and step
-loop were generated as one function: the closure ladder of the old
+These are the evaluators the library ran before every evaluator was
+generated from ``scalar_source``: the ``isinstance`` ladder of the old
+``evaluate`` (``_eval``), the closure ladder of the old
 ``compile_scalar``, the RHS built from it, and the hand-written
 Dormand-Prince loop, unchanged.  The property tests in test_kernel.py
-require the generated kernels to reproduce it bit for bit.
+require the generated evaluators and kernels to reproduce them bit for bit.
 """
 import math
 from typing import Callable
+
+import numpy as np
 
 from duffinglab.dynamics import IntegratorStats, MAX_STEPS, MIN_STEP
 from duffinglab.errors import (
@@ -30,6 +33,50 @@ from duffinglab.functions import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def _eval(spec, x):
+    if isinstance(spec, Constant):
+        return spec.c if not isinstance(x, np.ndarray) else np.full_like(x, spec.c, dtype=float)
+    if isinstance(spec, Arctan):
+        return spec.scale * np.arctan(x)
+    if isinstance(spec, AlgebraicTail):
+        return spec.c * x * (1.0 + x * x) ** (-spec.e)
+    if isinstance(spec, Rational1):
+        return spec.c * x / (1.0 + x * x)
+    if isinstance(spec, TrigPoly):
+        w = TWO_PI / spec.period
+        acc = spec.constant if not isinstance(x, np.ndarray) else np.full_like(x, spec.constant, dtype=float)
+        for m, a in enumerate(spec.cos_coeffs, start=1):
+            if a != 0.0:
+                acc = acc + a * np.cos((m * w) * x)
+        for m, b in enumerate(spec.sin_coeffs, start=1):
+            if b != 0.0:
+                acc = acc + b * np.sin((m * w) * x)
+        return acc
+    if isinstance(spec, Sum):
+        acc = _eval(spec.children[0], x)
+        for ch in spec.children[1:]:
+            acc = acc + _eval(ch, x)
+        return acc
+    if isinstance(spec, Scaled):
+        return spec.k * _eval(spec.child, x)
+    if isinstance(spec, XArctan):
+        return spec.k * x * np.arctan(x)
+    if isinstance(spec, LogSquarePlusOne):
+        return spec.k * np.log1p(x * x)
+    if isinstance(spec, PowerSquarePlusOne):
+        return spec.k * (1.0 + x * x) ** spec.q
+    if isinstance(spec, Linear):
+        return spec.k * x
+    raise SpecValidationError(f"unknown spec node {type(spec).__name__}")
+
+
+def evaluate(spec, x):
+    """Evaluate at a float or ndarray argument."""
+    if isinstance(x, np.ndarray):
+        return _eval(spec, x.astype(float, copy=False))
+    return float(_eval(spec, float(x)))
 
 
 def compile_scalar(spec) -> Callable[[float], float]:

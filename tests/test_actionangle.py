@@ -12,16 +12,14 @@ from duffinglab.actionangle import (
     averaged_potential,
     averaged_potential_asymptote,
     averaged_potential_slope_check,
-    exchange_bound,
     forcing_shift_generator,
     from_action_angle,
     hamiltonian_pieces,
     normal_form_residuals,
     potential_shift_generator,
-    solve_energy_exchange,
     to_action_angle,
 )
-from duffinglab.errors import DegenerateStateError, HTooSmallError
+from duffinglab.errors import DegenerateStateError
 from duffinglab.functions import (
     Arctan,
     TrigPoly,
@@ -126,26 +124,6 @@ def test_forcing_peak_bounds_forcing():
     vals = [abs(averaged_forcing(s, h, float(t))) for t in ts]
     assert max(vals) <= peak * (1.0 + 1e-12)
     assert max(vals) == pytest.approx(peak, rel=1e-3)
-
-
-# ---------------------------------------------------------------------------
-# energy exchange solve
-# ---------------------------------------------------------------------------
-
-def test_energy_exchange_fixed_point():
-    s = make_system(1, Arctan(), p=TrigPoly(TWO_PI, (1.0,), ()))
-    h = 1.0e4
-    for theta, t in ((0.0, 0.0), (1.2, 0.7), (4.0, 3.0)):
-        R = solve_energy_exchange(s, h, t, theta)
-        pieces = hamiltonian_pieces(s, h - R, theta, t)
-        assert R == pytest.approx(sum(pieces), abs=1e-9 * math.sqrt(h))
-        assert abs(R) <= exchange_bound(s, h)
-
-
-def test_energy_exchange_floor_guard():
-    s = make_system(1, Arctan(), p=TrigPoly(TWO_PI, (1.0,), ()))
-    with pytest.raises(HTooSmallError):
-        solve_energy_exchange(s, 1.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

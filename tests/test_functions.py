@@ -28,7 +28,8 @@ TWO_PI = 2.0 * math.pi
 coeff = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False,
                   allow_infinity=False)
 nonzero_coeff = coeff.filter(lambda v: abs(v) > 1e-3)
-tail_exponent = st.floats(min_value=0.55, max_value=3.0)
+# e = 1 has no antiderivative in the grammar (test_unit_exponent_tail_rejected)
+tail_exponent = st.floats(min_value=0.55, max_value=3.0).filter(lambda e: e != 1.0)
 
 
 def trig_polys(max_harmonics=3):
@@ -170,11 +171,6 @@ def test_negative_scale_keeps_limit_order():
 def test_limits_reject_periodic():
     with pytest.raises(InadmissibleFunctionError):
         fx.limits_at_infinity(TrigPoly(TWO_PI, (1.0,), ()))
-
-
-@given(restoring_specs(), st.floats(min_value=-100.0, max_value=100.0))
-def test_sup_abs_is_a_bound(spec, x):
-    assert abs(fx.evaluate(spec, x)) <= fx.sup_abs(spec) * (1.0 + 1e-12) + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -382,16 +382,48 @@ def test_cli_rejects_non_finite_numbers(argv, document, named, tmp_path, capsys)
      "grids.h_window"),
 ])
 def test_cli_bad_window_exits_2_without_traceback(argv, named, tmp_path):
+    proc = _run_module(argv + ["--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _run_module(argv):
+    """`python -m duffinglab argv` from this checkout's src."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "duffinglab", *argv, "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert named in proc.stderr
+    return subprocess.run([sys.executable, "-m", "duffinglab", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_float_overflow_exits_3_without_traceback(tmp_path):
+    # c = 1e200 squares past the float range in the integrator's error norm
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1, "g": {"kind": "rational1", "c": 1e200}}))
+    out = tmp_path / "out"
+    proc = _run_module(["classify", "--system", str(path), "--I0", "50",
+                        "--out", str(out)])
+    assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
+    payload = json.loads(_read(str(out / "errors.json")))
+    assert payload["error"] == "ArithmeticFailureError"
+    assert "OverflowError" in payload["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ["conditions"], ["averages", "--I", "1e4"], ["oscillatory"],
+    ["normalform-check"],
+])
+@pytest.mark.parametrize("knob", [["--tol", "1e-3"], ["--strobes", "7"]])
+def test_cli_rejects_knobs_the_subcommand_ignores(command, knob, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--scenario", "ding", "--out", str(out)] + knob)
+    assert exc.value.code == 2
+    assert knob[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_config_file(tmp_path, capsys):
