@@ -221,6 +221,11 @@ def _run_scenarios_listing(args) -> int:
 
 def _run_bundle(args) -> int:
     if args.config is not None:
+        for knob, value in (("--tol", args.tol), ("--strobes", args.strobes)):
+            if value is not None:
+                raise SpecValidationError(
+                    f"{knob} does not apply to run --config; set it in the "
+                    "config's numeric block (numeric.tol, numeric.N)")
         try:
             with open(args.config) as fh:
                 obj = json.load(fh)

@@ -7,11 +7,14 @@ RHS inlined, compiled on the system's first integration and kept on the
 system object.  The strobe map advances time by exactly one forcing
 period 2*pi.  On top of the strobe iterates sit the unwrapped
 rotation angle, the twist-scaling diagnostic, and the bounded/escaping
-orbit classification.
+orbit classification.  The independent orbits of a sweep or an escape
+scan are spread over one forked child process per usable CPU.
 """
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -533,7 +536,7 @@ def sweep(system, initial_grid, N: int, tol: float):
     initials = list(initial_grid)
     if not initials:
         raise SpecValidationError("initial grid must be nonempty")
-    return [_orbit_slot(system, s0, N, tol)[1] for s0 in initials]
+    return [v for _, v in _orbit_slots(system, initials, N, tol)]
 
 
 def _orbit_slot(system, s0: PhaseState, N: int, tol: float) -> tuple:
@@ -551,6 +554,88 @@ def _orbit_slot(system, s0: PhaseState, N: int, tol: float) -> tuple:
             growth_fit=None, horizon_strobes=0,
             error=f"{type(exc).__name__}: {exc}",
         )
+
+
+def _orbit_slots(system, initials: list, N: int, tol: float) -> list:
+    """_orbit_slot of every initial state, in input order.
+
+    The orbits are independent, so with W >= 2 usable CPUs they run in W
+    forked children: child w computes the slots of initials[w::W] exactly
+    as the serial loop would and pickles them back over a pipe, and the
+    parent interleaves the parts back into input order.  With one usable
+    CPU (e.g. under `taskset -c 0`) nothing is forked.  A child that fails
+    outside _orbit_slot's own error handling makes this call raise, and no
+    child outlives it.
+    """
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    workers = min(cpus, len(initials))
+    if workers < 2:
+        return [_orbit_slot(system, s0, N, tol) for s0 in initials]
+    pids = []
+    reads = []  # read ends the parent has not yet taken over, else None
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            reads.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _slots_child(write_fd, reads, system,
+                                 initials[w::workers], N, tol)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        slots = [None] * len(initials)
+        for w in range(workers):
+            fd, reads[w] = reads[w], None
+            with os.fdopen(fd, "rb") as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pids[w], 0)[1]
+            pids[w] = None
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise RuntimeError(
+                    f"orbit worker {w} of {workers} exited with status {code}")
+            ok, part = pickle.loads(payload)
+            if not ok:
+                raise RuntimeError(f"orbit worker {w} of {workers} failed: {part}")
+            slots[w::workers] = part
+        return slots
+    finally:
+        # a child blocked writing to a pipe nobody reads would never exit,
+        # so close the unread pipes before killing and reaping
+        for fd in reads:
+            if fd is not None:
+                os.close(fd)
+        live = [pid for pid in pids if pid is not None]
+        if live:
+            import signal
+            for pid in live:
+                os.kill(pid, signal.SIGKILL)
+            for pid in live:
+                os.waitpid(pid, 0)
+
+
+def _slots_child(write_fd, reads, system, initials, N, tol):
+    """Body of one forked child of _orbit_slots; never returns.
+
+    os._exit skips the parent's atexit handlers and never flushes the
+    stdio buffers the child inherited, so nothing is written twice.
+    """
+    code = 1
+    try:
+        for fd in reads:  # every child forks before the parent reads any
+            os.close(fd)
+        try:
+            payload = (True, [_orbit_slot(system, s0, N, tol) for s0 in initials])
+        except Exception as exc:
+            payload = (False, f"{type(exc).__name__}: {exc}")
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @dataclass(frozen=True)
@@ -591,12 +676,12 @@ def critical_escape_scan(system, I0: float, phases: int, N: int,
     if I0 <= 0.0:
         raise SpecValidationError(f"I0 must be positive, got {I0}")
     x0 = math.sqrt(2.0 * I0 / system.n)
+    initials = [PhaseState(x=x0, y=0.0, t=TWO_PI * k / phases)
+                for k in range(phases)]
     verdicts = []
     best_idx = 0
     best_rec = None
-    for k in range(phases):
-        rec, v = _orbit_slot(
-            system, PhaseState(x=x0, y=0.0, t=TWO_PI * k / phases), N, tol)
+    for k, (rec, v) in enumerate(_orbit_slots(system, initials, N, tol)):
         verdicts.append(v)
         best_max = verdicts[best_idx].max_I
         if rec is not None and not math.isnan(v.max_I) and (

@@ -66,6 +66,8 @@ FORMATS = ("csv", "json")
 DEFAULT_TOL = 1.0e-9
 DEFAULT_N = 500
 DEFAULT_HORIZON = 200.0
+# most points an energy window ([lo, hi, points]) may ask for
+MAX_WINDOW_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,12 @@ def _window(cfg: ExperimentConfig, key: str, default=None):
     spec = cfg.numeric.grids.get(key, default)
     if len(spec) != 3:
         raise SpecValidationError(f"grids.{key} must be [lo, hi, points]")
-    lo, hi, points = spec[0], spec[1], int(spec[2])
+    lo, hi, points = spec
+    if points != int(points) or points > MAX_WINDOW_POINTS:
+        raise SpecValidationError(
+            f"grids.{key}: points must be a whole number of at most "
+            f"{MAX_WINDOW_POINTS}, got {points!r}")
+    points = int(points)
     with _naming_grid(key):
         return lo, hi, points, geometric_grid(lo, hi, points)
 

@@ -380,6 +380,13 @@ def test_cli_rejects_non_finite_numbers(argv, document, named, tmp_path, capsys)
      "grids.beta_window"),
     (["oscillatory", "--scenario", "ll-bounded", "--h-window", "1e8,1e4,65"],
      "grids.h_window"),
+    # point counts past the cap are refused before any grid is allocated
+    (["oscillatory", "--scenario", "ll-bounded", "--h-window", "1e4,1e8,1e12"],
+     "grids.h_window"),
+    (["oscillatory", "--scenario", "ll-bounded", "--h-window", "1e4,1e8,10001"],
+     "grids.h_window"),
+    (["conditions", "--scenario", "ding", "--beta-window", "1e4,1e9,12.5"],
+     "grids.beta_window"),
 ])
 def test_cli_bad_window_exits_2_without_traceback(argv, named, tmp_path):
     proc = _run_module(argv + ["--out", str(tmp_path)])
@@ -441,6 +448,19 @@ def test_cli_run_config_file(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "real" / "classify.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("knob", [["--tol", "1e-3"], ["--strobes", "7"]])
+def test_cli_run_config_rejects_numeric_knobs(knob, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": DING_SYSTEM, "experiment": "classify",
+                                "numeric": {"N": 5, "grids": {"I0": [25.0]}}}))
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", str(path), "--out", str(out)] + knob)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert knob[0] in err and "numeric block" in err
+    assert not out.exists()
 
 
 def test_cli_run_bad_config_exits_2(tmp_path, capsys):
