@@ -1,22 +1,21 @@
-"""Action-angle chart and resonant averaging for the strobe-normalized system.
+"""Resonant averaging for the strobe-normalized system.
 
-Conventions: y = x'/n, action I = n(x^2+y^2)/2, angle theta = atan2(y,x)/n
-in [0, 2*pi/n). On the circle of action I the position is
-x = sqrt(2I/n) cos(n theta). The time-dependent Hamiltonian splits as
-H = I + (potential + forcing + oscillating)/n pieces; their circle averages
-and first-order generating functions are the quantities of interest.
+Conventions: y = x'/n, action I = n(x^2+y^2)/2, angle theta in [0, 2*pi/n).
+On the circle of action I the position is x = sqrt(2I/n) cos(n theta).
+The time-dependent Hamiltonian splits as H = I + (potential + forcing +
+oscillating)/n pieces; the circle averages of the potential and forcing
+pieces and their first-order generating functions are computed here.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from . import functions as fx
-from .errors import DegenerateStateError, FitDegenerateError
+from .errors import AmplitudeTooLargeError, DegenerateStateError, FitDegenerateError
 from .fitting import DecayFit, geometric_grid, loglog_fit
 from .quadrature import CumulativeIntegral, _pow2_at_least, even_circle_mean
 
@@ -28,51 +27,6 @@ class PhaseState:
     x: float
     y: float
     t: float
-
-
-@dataclass(frozen=True)
-class ActionAngleState:
-    I: float
-    theta: float
-    t: float
-
-
-class HamiltonianPieces(NamedTuple):
-    potential_term: float   # G(x)/n
-    forcing_term: float     # -x p(t)/n
-    oscillating_term: float  # psi(x)/n
-
-
-def to_action_angle(state: PhaseState, n: int) -> ActionAngleState:
-    action = 0.5 * n * (state.x * state.x + state.y * state.y)
-    if action == 0.0:
-        raise DegenerateStateError("angle undefined at the origin")
-    theta = math.atan2(state.y, state.x) % TWO_PI
-    return ActionAngleState(I=action, theta=theta / n, t=state.t)
-
-
-def from_action_angle(state: ActionAngleState, n: int) -> PhaseState:
-    if state.I < 0.0:
-        raise DegenerateStateError("action must be non-negative", I=state.I)
-    r = math.sqrt(2.0 * state.I / n)
-    return PhaseState(
-        x=r * math.cos(n * state.theta),
-        y=r * math.sin(n * state.theta),
-        t=state.t,
-    )
-
-
-def hamiltonian_pieces(system, I, theta, t) -> HamiltonianPieces:
-    if I < 0.0:
-        raise DegenerateStateError("action must be non-negative", I=I)
-    n = system.n
-    x = math.sqrt(2.0 * I / n) * math.cos(n * theta)
-    inv_n = 1.0 / n
-    return HamiltonianPieces(
-        potential_term=fx.evaluate(system.potential, x) * inv_n,
-        forcing_term=-x * fx.evaluate(system.p, t) * inv_n,
-        oscillating_term=fx.evaluate(system.psi, x) * inv_n,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +142,33 @@ def averaged_forcing(system, h, t) -> float:
             * (c_proj * math.cos(n * t) + s_proj * math.sin(n * t)))
 
 
-def averaged_forcing_peak(system, h) -> float:
-    """max over t of |averaged forcing| = (sqrt2/2pi) n^(-3/2) h^(1/2) A."""
-    c_proj, s_proj = forcing_projections(system)
-    amp = math.hypot(c_proj, s_proj)
-    return (math.sqrt(2.0) / (2.0 * math.pi)) * system.n ** -1.5 * math.sqrt(h) * amp
-
-
 # ---------------------------------------------------------------------------
 # first-order generating functions
 # ---------------------------------------------------------------------------
 
+# most 16-node panels a generator may take
+GENERATOR_PANEL_CAP = 2 ** 20
+
+
+def _generator_panels(need: float, h: float) -> int:
+    if not need <= GENERATOR_PANEL_CAP:
+        raise AmplitudeTooLargeError(
+            "generator panel count exceeds the node budget",
+            h=h, panels=need, cap=GENERATOR_PANEL_CAP,
+        )
+    return _pow2_at_least(need)
+
+
 @lru_cache(maxsize=64)
 def _potential_shift_integral(system, h):
+    """Integral from 0 to theta of (potential term - its average) at action h.
+
+    The generating function removing the angle dependence of the potential
+    term at first order; closes to 0 over a full circle.
+    """
     n = system.n
     amplitude = math.sqrt(2.0 * h / n)
+    panels = _generator_panels(4.0 * n * amplitude, h)
     mean = averaged_potential(system, h)
     pot = system.potential
     inv_n = 1.0 / n
@@ -211,21 +177,13 @@ def _potential_shift_integral(system, h):
         x = amplitude * np.cos(n * theta)
         return fx.evaluate(pot, x) * inv_n - mean
 
-    panels = _pow2_at_least(4.0 * n * amplitude)
     return CumulativeIntegral(integrand, panels)
-
-
-def potential_shift_generator(system, h, theta) -> float:
-    """Integral from 0 to theta of (potential term - its average) at action h.
-
-    The generating function removing the angle dependence of the potential
-    term at first order; closes to 0 over a full circle.
-    """
-    return _potential_shift_integral(system, float(h))(theta)
 
 
 @lru_cache(maxsize=64)
 def _forcing_shift_integral(system, h, t):
+    """Integral from 0 to theta of the forcing term along the rotating angle,
+    minus its average; closes to 0 over a full circle."""
     n = system.n
     amplitude = math.sqrt(2.0 * h / n)
     mean = averaged_forcing(system, h, t)
@@ -237,14 +195,8 @@ def _forcing_shift_integral(system, h, t):
         return -x * fx.evaluate(p_spec, t + theta) * inv_n - mean
 
     m_max = max(len(p_spec.cos_coeffs), len(p_spec.sin_coeffs), 1)
-    panels = _pow2_at_least(8.0 * (n + m_max))
+    panels = _generator_panels(8.0 * (n + m_max), h)
     return CumulativeIntegral(integrand, panels)
-
-
-def forcing_shift_generator(system, h, t, theta) -> float:
-    """Integral from 0 to theta of the forcing term along the rotating angle,
-    minus its average; closes to 0 over a full circle."""
-    return _forcing_shift_integral(system, float(h), float(t))(theta)
 
 
 def normal_form_residuals(system, h, t=0.0, n_samples=16, step=1e-6) -> dict:

@@ -145,7 +145,7 @@ def _load_system(args):
                 obj = json.load(fh)
         except OSError as exc:
             raise SpecValidationError(f"cannot read system file: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also ints past the digit limit
             raise SpecValidationError(f"system file is not valid JSON: {exc}")
         return system_from_config(obj)
     raise SpecValidationError("provide --system FILE or --scenario NAME")
@@ -231,7 +231,7 @@ def _run_bundle(args) -> int:
                 obj = json.load(fh)
         except OSError as exc:
             raise SpecValidationError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also ints past the digit limit
             raise SpecValidationError(f"config file is not valid JSON: {exc}")
         cfg = harness.parse_config(obj)
         if args.out is not None:

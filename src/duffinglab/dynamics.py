@@ -241,6 +241,11 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+def _check_N(N) -> None:
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+        raise SpecValidationError(f"N must be a positive integer, got {N!r}")
+
+
 def integrate_with_stats(system, s0: PhaseState, t1: float, tol: float):
     tol = _check_tol(tol)
     t0, t1 = float(s0.t), float(t1)
@@ -331,8 +336,7 @@ def orbit(system, s0: PhaseState, N: int, tol: float) -> OrbitRecord:
     Terminates early (escaped=True) when the action exceeds the hard
     ceiling 1e12; the record keeps whatever was computed.
     """
-    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
-        raise SpecValidationError(f"N must be a positive integer, got {N!r}")
+    _check_N(N)
     tol = _check_tol(tol)
     I0 = _action(system, s0.x, s0.y)
     if I0 == 0.0:
@@ -536,24 +540,25 @@ def sweep(system, initial_grid, N: int, tol: float):
     initials = list(initial_grid)
     if not initials:
         raise SpecValidationError("initial grid must be nonempty")
-    return [v for _, v in _orbit_slots(system, initials, N, tol)]
+    return [v for v, _ in _orbit_slots(system, initials, N, tol)]
 
 
 def _orbit_slot(system, s0: PhaseState, N: int, tol: float) -> tuple:
-    """(record, verdict) of one orbit of a scan.
+    """(verdict, tail fit) of one orbit of a scan.
 
-    A failure fills the slot with no record and an Undecided verdict that
-    carries the error message, so it never aborts the rest of the scan.
+    A failure fills the slot with an Undecided verdict that carries the
+    error message and NaN actions, and no fit, so it never aborts the rest
+    of the scan.
     """
     try:
         rec = orbit(system, s0, N, tol)
-        return rec, classify_orbit(rec)
+        return classify_orbit(rec), _tail_fit(rec)
     except DuffingLabError as exc:
-        return None, ClassificationVerdict(
+        return ClassificationVerdict(
             verdict=VERDICT_UNDECIDED, max_I=math.nan, min_I=math.nan,
             growth_fit=None, horizon_strobes=0,
             error=f"{type(exc).__name__}: {exc}",
-        )
+        ), None
 
 
 def _orbit_slots(system, initials: list, N: int, tol: float) -> list:
@@ -565,8 +570,10 @@ def _orbit_slots(system, initials: list, N: int, tol: float) -> list:
     parent interleaves the parts back into input order.  With one usable
     CPU (e.g. under `taskset -c 0`) nothing is forked.  A child that fails
     outside _orbit_slot's own error handling makes this call raise, and no
-    child outlives it.
+    child outlives it.  N and tol are checked once, before any fork.
     """
+    _check_N(N)
+    _check_tol(tol)
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
     workers = min(cpus, len(initials))
@@ -678,23 +685,20 @@ def critical_escape_scan(system, I0: float, phases: int, N: int,
     x0 = math.sqrt(2.0 * I0 / system.n)
     initials = [PhaseState(x=x0, y=0.0, t=TWO_PI * k / phases)
                 for k in range(phases)]
-    verdicts = []
+    slots = _orbit_slots(system, initials, N, tol)
+    verdicts = [v for v, _ in slots]
     best_idx = 0
-    best_rec = None
-    for k, (rec, v) in enumerate(_orbit_slots(system, initials, N, tol)):
-        verdicts.append(v)
+    for k, v in enumerate(verdicts):
         best_max = verdicts[best_idx].max_I
-        if rec is not None and not math.isnan(v.max_I) and (
-                best_rec is None or math.isnan(best_max)
-                or v.max_I > best_max):
+        if not math.isnan(v.max_I) and (
+                math.isnan(best_max) or v.max_I > best_max):
             best_idx = k
-            best_rec = rec
     n_escaping = sum(1 for v in verdicts if v.verdict == VERDICT_ESCAPING)
     n_positive = sum(
         1 for v in verdicts
         if v.growth_fit is not None and v.growth_fit.slope > 0.0
     )
-    best_fit = None if best_rec is None else _tail_fit(best_rec)
+    best_fit = slots[best_idx][1]
     return EscapeScan(
         best_phase_index=best_idx,
         best_t0=TWO_PI * best_idx / phases,

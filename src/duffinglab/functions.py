@@ -661,8 +661,9 @@ def system_from_config(obj, path: str = "system") -> DuffingSystem:
     if unknown:
         raise SpecValidationError(f"{path}: unknown keys {sorted(unknown)}")
     n = obj.get("n")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise SpecValidationError(f"{path}.n: expected an integer")
+    if not isinstance(n, int) or not _is_finite_number(n) or n < 1:
+        raise SpecValidationError(
+            f"{path}.n: expected a positive integer in the float range")
     if "g" not in obj:
         raise SpecValidationError(f"{path}: missing key 'g'")
     g = spec_from_config(obj["g"], f"{path}.g")

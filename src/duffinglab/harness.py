@@ -66,8 +66,8 @@ FORMATS = ("csv", "json")
 DEFAULT_TOL = 1.0e-9
 DEFAULT_N = 500
 DEFAULT_HORIZON = 200.0
-# most points an energy window ([lo, hi, points]) may ask for
-MAX_WINDOW_POINTS = 10_000
+# most points an energy window ([lo, hi, points]) or a phase scan may ask for
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,14 @@ class NumericConfig:
                 raise SpecValidationError(
                     f"config.numeric.{key}: expected finite numbers, "
                     f"got {list(values)}")
+        if self.horizon <= 0.0:
+            raise SpecValidationError("config.numeric.horizon: must be positive")
+        # the integrator's own checks, run here where the knob can be named
+        for key, check in (("N", dyn._check_N), ("tol", dyn._check_tol)):
+            try:
+                check(getattr(self, key))
+            except SpecValidationError as exc:
+                raise SpecValidationError(f"config.numeric.{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -126,12 +134,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise SpecValidationError(f"config.numeric: unknown keys {sorted(unknown)}")
     tol = _require_number(num, "tol", "config.numeric") if "tol" in num else DEFAULT_TOL
     N = num.get("N", DEFAULT_N)
-    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
-        raise SpecValidationError(f"config.numeric.N: need a positive integer, got {N!r}")
     horizon = (_require_number(num, "horizon", "config.numeric")
                if "horizon" in num else DEFAULT_HORIZON)
-    if horizon <= 0.0:
-        raise SpecValidationError("config.numeric.horizon: must be positive")
     grids_in = num.get("grids", {})
     if not isinstance(grids_in, dict):
         raise SpecValidationError("config.numeric.grids: expected an object")
@@ -229,17 +233,21 @@ def write_json(path: str, obj) -> None:
 # ("name.csv", header, rows) or ("name.json", payload)
 # ---------------------------------------------------------------------------
 
+def _start(cfg: ExperimentConfig, I0: float, t0: float) -> PhaseState:
+    """The state at time t0 on the x axis with action I0."""
+    if I0 <= 0.0:
+        raise SpecValidationError(f"grids.I0 must be positive, got {I0}")
+    return PhaseState(x=math.sqrt(2.0 * I0 / cfg.system.n), y=0.0, t=t0)
+
+
 def _initial_state(cfg: ExperimentConfig) -> PhaseState:
-    init = cfg.numeric.grids.get("initial")
+    grids = cfg.numeric.grids
+    init = grids.get("initial")
     if init is not None:
         if len(init) != 3:
             raise SpecValidationError("grids.initial must be [x0, y0, t0]")
         return PhaseState(x=init[0], y=init[1], t=init[2])
-    I0 = cfg.numeric.grids.get("I0", (100.0,))[0]
-    if I0 <= 0.0:
-        raise SpecValidationError(f"grids.I0 must be positive, got {I0}")
-    t0 = cfg.numeric.grids.get("t0", (0.0,))[0]
-    return PhaseState(x=math.sqrt(2.0 * I0 / cfg.system.n), y=0.0, t=t0)
+    return _start(cfg, grids.get("I0", (100.0,))[0], grids.get("t0", (0.0,))[0])
 
 
 @contextmanager
@@ -251,17 +259,22 @@ def _naming_grid(key: str):
         raise SpecValidationError(f"grids.{key}: {exc}") from None
 
 
+def _count(key: str, value: float) -> int:
+    """A point count from the grids, refused before anything is allocated."""
+    if value != int(value) or value > MAX_GRID_POINTS:
+        raise SpecValidationError(
+            f"grids.{key}: points must be a whole number of at most "
+            f"{MAX_GRID_POINTS}, got {value!r}")
+    return int(value)
+
+
 def _window(cfg: ExperimentConfig, key: str, default=None):
     """(lo, hi, points, geometric grid) of a [lo, hi, points] grid entry."""
     spec = cfg.numeric.grids.get(key, default)
     if len(spec) != 3:
         raise SpecValidationError(f"grids.{key} must be [lo, hi, points]")
     lo, hi, points = spec
-    if points != int(points) or points > MAX_WINDOW_POINTS:
-        raise SpecValidationError(
-            f"grids.{key}: points must be a whole number of at most "
-            f"{MAX_WINDOW_POINTS}, got {points!r}")
-    points = int(points)
+    points = _count(key, points)
     with _naming_grid(key):
         return lo, hi, points, geometric_grid(lo, hi, points)
 
@@ -372,10 +385,7 @@ def _run_sweep(cfg: ExperimentConfig):
     if I0_grid is None:
         raise SpecValidationError("sweep needs grids.I0 (list of actions)")
     t0 = cfg.numeric.grids.get("t0", (0.0,))[0]
-    initials = [
-        PhaseState(x=math.sqrt(2.0 * I0 / cfg.system.n), y=0.0, t=t0)
-        for I0 in I0_grid
-    ]
+    initials = [_start(cfg, I0, t0) for I0 in I0_grid]
     verdicts = dyn.sweep(cfg.system, initials, cfg.numeric.N, cfg.numeric.tol)
     rows = []
     counts: dict = {}
@@ -396,7 +406,7 @@ def _run_sweep(cfg: ExperimentConfig):
 
 def _run_escape_scan(cfg: ExperimentConfig):
     I0 = cfg.numeric.grids.get("I0", (1.0e4,))[0]
-    phases = int(cfg.numeric.grids.get("phases", (64,))[0])
+    phases = _count("phases", cfg.numeric.grids.get("phases", (64,))[0])
     scan = dyn.critical_escape_scan(
         cfg.system, I0, phases, cfg.numeric.N, cfg.numeric.tol)
     rows = [
@@ -414,6 +424,8 @@ def _run_escape_scan(cfg: ExperimentConfig):
 
 def _run_normalform(cfg: ExperimentConfig):
     h = cfg.numeric.grids.get("h", (1.0e4,))[0]
+    if h < 0.0:
+        raise SpecValidationError(f"grids.h must be nonnegative, got {h}")
     return [("normalform.json", normal_form_residuals(cfg.system, h))]
 
 
@@ -632,8 +644,9 @@ def run_scenario(name: str, out_dir: str, tol: float = None,
         written.extend(run(ExperimentConfig(
             system=scenario_system(alias),
             experiment=experiment,
-            numeric=NumericConfig(tol=tol or default_tol,
-                                  N=strobes or default_N, grids=grids),
+            numeric=NumericConfig(
+                tol=default_tol if tol is None else tol,
+                N=default_N if strobes is None else strobes, grids=grids),
             output=OutputConfig(dir=os.path.join(out_dir, slug)),
         )))
     return written

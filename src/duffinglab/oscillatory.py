@@ -2,8 +2,7 @@
 
 The averaged spatially-periodic term turns into means of cos/sin of a large
 phase ``a * cos(n theta)`` over the circle.  This module evaluates those
-means by brute periodic quadrature, provides an independent Bessel J0
-evaluator as the cross-check oracle, and verifies the two decay laws that
+means by brute periodic quadrature and verifies the two decay laws that
 make the term harmless at high energy: the h^(-1/4) envelope of the
 averaged term and the a^(-1/2) endpoint law of the model half-period
 integral.
@@ -18,12 +17,7 @@ import numpy as np
 from .errors import AmplitudeTooLargeError, HTooSmallError, SpecValidationError
 from .fitting import DecayFit, envelope_fit, envelope_points, geometric_grid
 from .functions import Constant, harmonic, periodic_leaves
-from .quadrature import (
-    _pow2_at_least,
-    even_circle_mean,
-    periodic_mean,
-    simpson_integral,
-)
+from .quadrature import _pow2_at_least, even_circle_mean, periodic_mean
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,93 +29,8 @@ NODES_PER_AMPLITUDE = 16.0
 
 
 # ---------------------------------------------------------------------------
-# Bessel J0, series / downward recurrence / asymptotic
-# ---------------------------------------------------------------------------
-
-def bessel_j0(a: float) -> float:
-    """Order-zero Bessel function of the first kind.
-
-    Three regimes: a Taylor polynomial for tiny arguments, Miller's
-    downward recurrence normalized by J0 + 2*J2 + 2*J4 + ... = 1 up to
-    a = 60, and the Hankel large-argument expansion beyond.  The
-    switchover point keeps both branches comfortably inside their
-    accurate ranges; agreement with brute quadrature is checked by
-    bessel_j0_self_check.
-    """
-    a = abs(float(a))
-    if a < 1.0e-4:
-        a2 = a * a
-        return 1.0 + a2 * (-0.25 + a2 * (1.0 / 64.0 - a2 / 2304.0))
-    if a <= 60.0:
-        return _j0_miller(a)
-    return _j0_hankel(a)
-
-
-def _j0_miller(a: float) -> float:
-    # start order comfortably past the turning point so the seeded tail
-    # has decayed below double precision by the time it reaches J0
-    start = int(a + 16.0 + 10.0 * a ** (1.0 / 3.0))
-    if start % 2:
-        start += 1
-    jp = 0.0
-    j = 1.0e-30
-    norm = 0.0
-    for k in range(start, 0, -1):
-        jm = (2.0 * k / a) * j - jp
-        jp = j
-        j = jm
-        if abs(j) > 1.0e250:
-            j *= 1.0e-250
-            jp *= 1.0e-250
-            norm *= 1.0e-250
-        if (k - 1) > 0 and (k - 1) % 2 == 0:
-            norm += 2.0 * j
-    norm += j
-    return j / norm
-
-
-def _j0_hankel(z: float) -> float:
-    p = 1.0
-    q = 0.0
-    t = 1.0
-    sign_p = -1.0
-    sign_q = -1.0
-    for k in range(1, 13):
-        t *= (2.0 * k - 1.0) ** 2 / (8.0 * k * z)
-        if k % 2:
-            q += sign_q * t
-            sign_q = -sign_q
-        else:
-            p += sign_p * t
-            sign_p = -sign_p
-        if t < 1.0e-17:
-            break
-    w = z - 0.25 * math.pi
-    return math.sqrt(2.0 / (math.pi * z)) * (p * math.cos(w) - q * math.sin(w))
-
-
-def bessel_j0_self_check(a_values=None) -> float:
-    """Max |bessel_j0(a) - quadrature circle mean| over the given amplitudes."""
-    if a_values is None:
-        a_values = (0.0, 0.3, 1.0, 2.0, 5.0, 10.0, 17.0, 25.0, 35.0, 50.0)
-    worst = 0.0
-    for a in a_values:
-        worst = max(worst, abs(bessel_j0(a) - circle_mean(a, "cos", 1)))
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # circle means
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OscillatorySample:
-    """One harmonic's circle means at phase amplitude a."""
-
-    amplitude_a: float
-    value_cos: float
-    value_sin: float
-
 
 def circle_mean(a: float, parity: str, n: int = 1) -> float:
     """Mean of cos/sin(a cos(n theta)) over theta in [0, 2*pi).
@@ -158,14 +67,6 @@ def circle_mean(a: float, parity: str, n: int = 1) -> float:
             abs_tol=CIRCLE_ABS_TOL, n_start=floor, n_cap=cap,
         )
     return float(value)
-
-
-def oscillatory_sample(a: float, n: int = 1) -> OscillatorySample:
-    return OscillatorySample(
-        amplitude_a=float(a),
-        value_cos=circle_mean(a, "cos", n),
-        value_sin=circle_mean(a, "sin", n),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +114,6 @@ def psi_average(system, h: float) -> float:
     return value / n
 
 
-def psi_harmonic_samples(system, h: float) -> dict:
-    """Per-harmonic circle means at energy h, keyed by harmonic index.
-
-    Unlike psi_average this evaluates the sin parity too, exposing the
-    cancellation instead of assuming it.
-    """
-    h = float(h)
-    if h < 1.0:
-        raise HTooSmallError("averaged periodic term needs h >= 1", h=h)
-    amp = math.sqrt(2.0 * h / system.n)
-    w = TWO_PI / system.psi_period
-    _, harmonics = _psi_harmonics(system.psi)
-    return {
-        m: oscillatory_sample(m * w * amp, system.n)
-        for m in sorted(harmonics)
-    }
-
-
 # ---------------------------------------------------------------------------
 # decay fits
 # ---------------------------------------------------------------------------
@@ -267,26 +150,6 @@ def decay_fit_envelope(samples, window_factor: float) -> DecayFit:
 # ---------------------------------------------------------------------------
 # endpoint model integral
 # ---------------------------------------------------------------------------
-
-def model_endpoint_integral(a: float, n_panels: int = None) -> complex:
-    """Direct Simpson evaluation of the half-period model integral.
-
-    Integrates exp(i a cos theta) over [0, pi], where the phase is
-    stationary exactly at the two endpoints.  Composite Simpson needs
-    many panels per oscillation for high accuracy, so this direct route
-    is for modest a (cross-checks); the geometric scan in
-    endpoint_expansion_check uses the reflected full-period trapezoid
-    instead.
-    """
-    a = float(a)
-    if a < 0.0:
-        raise SpecValidationError(f"amplitude must be nonnegative, got {a}")
-    if n_panels is None:
-        n_panels = _pow2_at_least(2048.0 * (1.0 + a))
-    re = simpson_integral(lambda t: np.cos(a * np.cos(t)), 0.0, math.pi, n_panels)
-    im = simpson_integral(lambda t: np.sin(a * np.cos(t)), 0.0, math.pi, n_panels)
-    return complex(re, im)
-
 
 _CHUNK = 1 << 20
 

@@ -97,12 +97,6 @@ def even_circle_mean(f_even, rel_tol=None, abs_tol=None, n_start=64, n_cap=2 ** 
                             rel_tol, abs_tol, n_cap, "circle mean")
 
 
-def periodic_sum_mean(f, n_nodes):
-    """Plain N-node trapezoid mean over [0, 2*pi) at a fixed node count."""
-    n = int(n_nodes)
-    return float(np.sum(f(np.arange(n) * (TWO_PI / n)))) / n
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -148,14 +142,3 @@ class CumulativeIntegral:
     def _backward(self, t):
         return gl_panel(self.f, -t, 0.0)
 
-
-def simpson_integral(f, a, b, n_panels):
-    """Composite Simpson integral of f over [a, b] with n_panels panels."""
-    n = int(n_panels)
-    x = np.linspace(a, b, 2 * n + 1)
-    vals = f(x)
-    weights = np.ones(2 * n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    h = (b - a) / (2 * n)
-    return float(np.dot(weights, vals)) * (h / 3.0)

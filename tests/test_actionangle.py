@@ -2,24 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 import _oracles as oracle
+from duffinglab import actionangle
 from duffinglab.actionangle import (
-    PhaseState,
+    _forcing_shift_integral,
+    _potential_shift_integral,
     averaged_forcing,
-    averaged_forcing_peak,
     averaged_potential,
     averaged_potential_asymptote,
     averaged_potential_slope_check,
-    forcing_shift_generator,
-    from_action_angle,
-    hamiltonian_pieces,
+    forcing_projections,
     normal_form_residuals,
-    potential_shift_generator,
-    to_action_angle,
 )
-from duffinglab.errors import DegenerateStateError
+from duffinglab.errors import AmplitudeTooLargeError, DegenerateStateError
 from duffinglab.functions import (
     Arctan,
     TrigPoly,
@@ -29,38 +26,6 @@ from duffinglab.functions import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-
-# ---------------------------------------------------------------------------
-# coordinate change
-# ---------------------------------------------------------------------------
-
-@given(st.floats(min_value=-20.0, max_value=20.0),
-       st.floats(min_value=-20.0, max_value=20.0),
-       st.floats(min_value=-5.0, max_value=5.0),
-       st.integers(min_value=1, max_value=3))
-def test_action_angle_round_trip(x, y, t, n):
-    assume(x * x + y * y > 1e-8)
-    state = PhaseState(x=x, y=y, t=t)
-    back = from_action_angle(to_action_angle(state, n), n)
-    assert back.x == pytest.approx(x, abs=1e-12)
-    assert back.y == pytest.approx(y, abs=1e-12)
-    assert back.t == t
-
-
-def test_origin_has_no_angle():
-    with pytest.raises(DegenerateStateError):
-        to_action_angle(PhaseState(x=0.0, y=0.0, t=0.0), 1)
-
-
-def test_action_matches_definition():
-    st_ = to_action_angle(PhaseState(x=3.0, y=4.0, t=0.0), 2)
-    assert st_.I == pytest.approx(2.0 * 25.0 / 2.0, rel=1e-14)
-
-
-def test_negative_action_rejected():
-    with pytest.raises(DegenerateStateError):
-        hamiltonian_pieces(make_system(1, Arctan()), -1.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +84,18 @@ def test_averaged_forcing_matches_spectral_sum(cos_c, sin_c, h, t, n):
 def test_forcing_peak_bounds_forcing():
     s = make_system(1, Arctan(), p=TrigPoly(TWO_PI, (1.0,), (2.0,)))
     h = 1.0e4
-    peak = averaged_forcing_peak(s, h)
+    # (sqrt2 / 2 pi) n^(-3/2) h^(1/2) A with A = |(C, S)|
+    peak = ((math.sqrt(2.0) / TWO_PI) * s.n ** -1.5 * math.sqrt(h)
+            * math.hypot(*forcing_projections(s)))
     ts = np.linspace(0.0, TWO_PI, 257)
     vals = [abs(averaged_forcing(s, h, float(t))) for t in ts]
     assert max(vals) <= peak * (1.0 + 1e-12)
     assert max(vals) == pytest.approx(peak, rel=1e-3)
+
+
+def test_negative_action_rejected():
+    with pytest.raises(DegenerateStateError):
+        averaged_forcing(make_system(1, Arctan()), -1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +105,9 @@ def test_forcing_peak_bounds_forcing():
 def test_shift_generators_close_over_circle():
     s = make_system(1, Arctan(), p=TrigPoly(TWO_PI, (1.0,), (0.5,)))
     h = 1.0e4
-    assert potential_shift_generator(s, h, 0.0) == 0.0
-    assert abs(potential_shift_generator(s, h, TWO_PI)) < 1e-10
-    assert abs(forcing_shift_generator(s, h, 0.3, TWO_PI)) < 1e-10
+    assert _potential_shift_integral(s, h)(0.0) == 0.0
+    assert abs(_potential_shift_integral(s, h)(TWO_PI)) < 1e-10
+    assert abs(_forcing_shift_integral(s, h, 0.3)(TWO_PI)) < 1e-10
 
 
 def test_potential_generator_derivative_cancels_oscillation():
@@ -144,10 +116,10 @@ def test_potential_generator_derivative_cancels_oscillation():
     h = 1.0e4
     amp = math.sqrt(2.0 * h)
     mean = averaged_potential(s, h)
+    S = _potential_shift_integral(s, h)
     for theta in (0.4, 2.0, 5.5):
         step = 1e-6
-        dS = (potential_shift_generator(s, h, theta + step)
-              - potential_shift_generator(s, h, theta - step)) / (2 * step)
+        dS = (S(theta + step) - S(theta - step)) / (2 * step)
         x = amp * math.cos(theta)
         want = evaluate(s.potential, x) - mean
         assert dS == pytest.approx(want, rel=1e-5, abs=1e-6 * amp)
@@ -160,3 +132,18 @@ def test_normal_form_residuals_small():
     assert res["closure_forcing"] < 1e-10
     assert res["cancellation_potential"] < 1e-5
     assert res["cancellation_forcing"] < 1e-5
+
+
+def test_generator_panel_cap_refuses_before_allocating(monkeypatch):
+    real = actionangle.CumulativeIntegral
+
+    def capped(f, n_panels):
+        assert n_panels <= 2 ** 20, f"{n_panels} panels allocated"
+        return real(f, n_panels)
+
+    monkeypatch.setattr(actionangle, "CumulativeIntegral", capped)
+    # 4 sqrt(2hn) panels for the potential, 8 (n + 1) for the forcing
+    with pytest.raises(AmplitudeTooLargeError):
+        normal_form_residuals(make_system(1, Arctan()), 1.0e14)
+    with pytest.raises(AmplitudeTooLargeError):
+        normal_form_residuals(make_system(10 ** 6, Arctan()), 1.0)

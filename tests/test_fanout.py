@@ -13,6 +13,8 @@ import pytest
 
 from duffinglab import dynamics
 from duffinglab.actionangle import PhaseState
+from duffinglab.errors import SpecValidationError
+from duffinglab.fitting import DecayFit
 from duffinglab.harness import scenario_system
 
 from test_harness import _run_module
@@ -32,7 +34,7 @@ def _assert_no_children():
 def _initials():
     x0 = math.sqrt(2.0e4)
     states = [PhaseState(x=x0, y=0.0, t=TWO_PI * k / 7) for k in range(7)]
-    # the origin is an error slot: DegenerateStateError, no record
+    # the origin is an error slot: DegenerateStateError, no tail fit
     states.insert(3, PhaseState(x=0.0, y=0.0, t=0.0))
     return states
 
@@ -50,17 +52,35 @@ def test_fanned_slots_equal_serial_slots(cpus, monkeypatch):
     # one pickle per slot: objects shared across slots (the verdict
     # strings) come back as one copy per child, which only moves memo refs
     assert [pickle.dumps(s) for s in fanned] == [pickle.dumps(s) for s in serial]
-    assert serial[3][0] is None
-    assert "DegenerateStateError" in serial[3][1].error
-    assert all(rec is not None for rec, _ in serial[:3] + serial[4:])
+    assert serial[3][1] is None
+    assert "DegenerateStateError" in serial[3][0].error
+    assert math.isnan(serial[3][0].max_I)
+    assert all(isinstance(fit, DecayFit) for _, fit in serial[:3] + serial[4:])
+
+
+def test_bad_knobs_raise_before_any_fork(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for N, tol in ((0, 1.0e-9), (3, 0.0)):
+        with pytest.raises(SpecValidationError):
+            dynamics._orbit_slots(
+                scenario_system("ding"), _initials(), N, tol)
 
 
 def test_scan_leaves_no_child_behind(monkeypatch):
     _cpus(monkeypatch, 2)
-    scan = dynamics.critical_escape_scan(
-        scenario_system("critical-pair-above"), 1.0e4, 32, 4, 1.0e-9)
+    system = scenario_system("critical-pair-above")
+    scan = dynamics.critical_escape_scan(system, 1.0e4, 32, 4, 1.0e-9)
     assert len(scan.verdicts) == 32
     _assert_no_children()
+    # the best phase's tail slope is that of its orbit recomputed here
+    best = PhaseState(x=math.sqrt(2.0e4), y=0.0, t=scan.best_t0)
+    fit = dynamics._tail_fit(dynamics.orbit(system, best, 4, 1.0e-9))
+    assert scan.best_tail_slope == fit.slope
 
 
 def _raise_runtime_error(system, s0, N, tol):
@@ -85,20 +105,24 @@ def test_failing_child_makes_parent_raise(slot, message, monkeypatch):
     _assert_no_children()
 
 
+def _bulky_slot(system, s0, N, tol):
+    return bytes(45_000), None
+
+
 def test_interrupted_parent_reaps_children_blocked_on_full_pipes(monkeypatch):
-    # each child pickles about 90 kB of iterates, more than a pipe holds,
-    # so the second child is still blocked writing when the parent stops
+    # each child pickles two 45 kB slots, more than a pipe holds, so the
+    # second child is still blocked writing when the parent stops
     _cpus(monkeypatch, 2)
+    monkeypatch.setattr(dynamics, "_orbit_slot", _bulky_slot)
 
     def interrupted(data):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(pickle, "loads", interrupted)
-    x0 = math.sqrt(2.0e2)
-    initials = [PhaseState(x=x0, y=0.0, t=0.1 * k) for k in range(4)]
+    initials = [PhaseState(x=1.0, y=0.0, t=0.1 * k) for k in range(4)]
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        dynamics._orbit_slots(scenario_system("linear"), initials, 1000, 1.0e-6)
+        dynamics._orbit_slots(scenario_system("linear"), initials, 1, 1.0e-6)
     assert time.monotonic() - start < 60.0
     _assert_no_children()
 

@@ -13,41 +13,14 @@ from duffinglab.errors import (
 from duffinglab.fitting import geometric_grid
 from duffinglab.functions import Arctan, TrigPoly, make_system
 from duffinglab.oscillatory import (
-    bessel_j0,
-    bessel_j0_self_check,
+    _half_integral_reflected,
     circle_mean,
     decay_fit_envelope,
     endpoint_expansion_check,
-    model_endpoint_integral,
-    oscillatory_sample,
     psi_average,
-    psi_harmonic_samples,
 )
 
 TWO_PI = 2.0 * math.pi
-
-
-# ---------------------------------------------------------------------------
-# Bessel J0
-# ---------------------------------------------------------------------------
-
-def test_bessel_j0_against_mpmath():
-    # moderate arguments: all three branches, tight absolute agreement
-    for a in (0.0, 1.0e-5, 1.0e-4, 0.5, 1.0, 2.4048, 5.0, 10.0,
-              30.0, 59.9, 60.1, 100.0, 1.0e3):
-        assert bessel_j0(a) == pytest.approx(oracle.j0(a), abs=1e-14)
-    # huge arguments: float64 argument reduction in cos(a - pi/4) costs
-    # ~a*eps of phase, so the bound loosens with a
-    for a in (1.0e5, 1.0e7):
-        assert bessel_j0(a) == pytest.approx(oracle.j0(a), abs=5e-13)
-
-
-def test_bessel_j0_even_in_argument():
-    assert bessel_j0(-7.7) == bessel_j0(7.7)
-
-
-def test_bessel_j0_self_check_small():
-    assert bessel_j0_self_check() < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +54,6 @@ def test_circle_mean_validation():
         circle_mean(1.0, "cos", True)
     with pytest.raises(AmplitudeTooLargeError):
         circle_mean(2.0e7, "cos", 1)
-
-
-def test_oscillatory_sample_fields():
-    s = oscillatory_sample(10.0)
-    assert s.amplitude_a == 10.0
-    assert s.value_cos == pytest.approx(oracle.j0(10.0), abs=1e-12)
-    assert abs(s.value_sin) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +98,13 @@ def test_psi_average_h_floor():
         psi_average(s, 0.5)
 
 
-def test_psi_harmonic_samples_expose_parity():
-    s = make_system(1, Arctan(), psi=TrigPoly(TWO_PI, (0.3, 0.2), ()))
-    samples = psi_harmonic_samples(s, 2.0e3)
-    assert sorted(samples) == [1, 2]
-    amp = math.sqrt(2.0 * 2.0e3)
-    for m, smp in samples.items():
-        assert smp.amplitude_a == pytest.approx(m * amp, rel=1e-14)
-        assert smp.value_cos == pytest.approx(oracle.j0(m * amp), abs=1e-12)
-        assert abs(smp.value_sin) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # decay fits
 # ---------------------------------------------------------------------------
 
 def test_decay_fit_envelope_on_j0_profile():
     xs = geometric_grid(10.0, 1.0e4, 200)
-    fit = decay_fit_envelope([(a, bessel_j0(a)) for a in xs], 4.0)
+    fit = decay_fit_envelope([(a, oracle.j0(a)) for a in xs], 4.0)
     assert fit.slope == pytest.approx(-0.5, abs=0.05)
 
 
@@ -171,19 +126,15 @@ def test_decay_fit_envelope_guards():
 # ---------------------------------------------------------------------------
 
 def test_model_endpoint_integral_at_zero():
-    assert model_endpoint_integral(0.0) == pytest.approx(math.pi, rel=1e-14)
+    assert _half_integral_reflected(0.0) == pytest.approx(math.pi, rel=1e-14)
 
 
 def test_model_endpoint_integral_matches_pi_j0():
     # the sin part cancels over the half period, so V(a) = pi * J0(a)
-    v = model_endpoint_integral(5.0)
-    assert v.real == pytest.approx(math.pi * oracle.j0(5.0), rel=1e-10)
-    assert abs(v.imag) < 1e-12
-
-
-def test_model_endpoint_integral_validation():
-    with pytest.raises(SpecValidationError):
-        model_endpoint_integral(-2.0)
+    for a in (0.0, 5.0, 137.5, 1.0e3, 1.0e5):
+        v = _half_integral_reflected(a)
+        assert v.real == pytest.approx(math.pi * oracle.j0(a), abs=1e-12)
+        assert abs(v.imag) <= 1e-12
 
 
 def test_endpoint_expansion_check_small_grid():

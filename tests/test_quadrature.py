@@ -10,8 +10,6 @@ from duffinglab.quadrature import (
     even_circle_mean,
     gl_panel,
     periodic_mean,
-    periodic_sum_mean,
-    simpson_integral,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -64,12 +62,6 @@ def test_abs_tol_accepts_when_rel_cannot():
     assert value == pytest.approx(2.0 / math.pi, abs=1e-5)
 
 
-def test_periodic_sum_mean_spectral_exactness():
-    # uniform sums are exact for harmonics below the node count
-    f = lambda u: 1.5 + np.cos(5 * u) + np.sin(7 * u)
-    assert periodic_sum_mean(f, 64) == pytest.approx(1.5, abs=1e-15)
-
-
 def test_gl_panel_polynomial_exactness():
     # 16-point Gauss-Legendre integrates degree-31 polynomials exactly
     f = lambda x: x ** 31 + 3.0 * x ** 10
@@ -91,11 +83,3 @@ def test_cumulative_integral_full_turn_and_beyond():
     assert F(-0.3) == pytest.approx(-(0.15 - 0.25 * math.sin(-0.6)), rel=1e-10)
     assert F(0.0) == 0.0
 
-
-def test_simpson_integral_convergence():
-    # fourth order: doubling the panel count gains ~16x
-    exact = math.exp(1.0) - 1.0
-    coarse = simpson_integral(np.exp, 0.0, 1.0, 4)
-    fine = simpson_integral(np.exp, 0.0, 1.0, 8)
-    assert abs(fine - exact) < abs(coarse - exact) / 12.0
-    assert fine == pytest.approx(exact, rel=1e-6)
