@@ -1,17 +1,19 @@
 """Command line front end.
 
 Grammar: duffinglab <subcommand> [--system FILE | --scenario NAME]
-[--out DIR] [--format csv,json] plus per-subcommand knobs; the subcommands
-that integrate orbits (simulate, poincare, classify, sweep, escape-scan)
-also take [--tol V] [--strobes N].  Exit status 0 on success, 2 on config
-or validation errors, 3 on numeric failures (which also leave errors.json
-in the output directory).
+[--out DIR] [--format csv,json] plus the knobs of the subcommand's
+experiment, built from `harness.TABLE` with their defaults (see --help)
+and bounds, so a knob on the command line runs as the same knob in a
+`run --config` document.  Exit status 0 on success, 2 on config or
+validation errors (nothing is written), 3 on numeric failures (which also
+leave errors.json in the output directory).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import harness
 from .errors import (
@@ -48,6 +50,22 @@ def _format_arg(text: str):
     return parts
 
 
+_ARGS_OF_KIND = {
+    "actions": dict(type=_float_list, required=True, metavar="LIST"),
+    "window": dict(type=_window_arg, metavar="LO,HI,POINTS"),
+    "count": dict(type=int),
+    "flag": dict(action="store_true", default=None),
+    "scalar": dict(type=float),
+}
+
+
+def _help(knob: harness.Knob) -> str:
+    if knob.default is None or knob.kind == "flag":
+        return knob.help
+    values = knob.default if isinstance(knob.default, tuple) else (knob.default,)
+    return f"{knob.help} (default: {','.join(f'{v:g}' for v in values)})"
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="duffinglab",
@@ -66,59 +84,15 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--format", type=_format_arg, default=harness.FORMATS,
                         help="artifact formats, e.g. csv,json")
 
-    # knobs of the subcommands that integrate orbits; the others reject them
-    integrating = argparse.ArgumentParser(add_help=False, parents=[common])
-    integrating.add_argument("--tol", type=float, default=None,
-                             help="integration tolerance")
-    integrating.add_argument("--strobes", type=int, default=None,
-                             help="iterate count for map-based experiments")
-
-    p = sub.add_parser("conditions", parents=[common],
-                       help="resonance balance report, optional tail fit")
-    p.add_argument("--beta-window", type=_window_arg, default=None,
-                   metavar="LO,HI,POINTS",
-                   help="energy window for the correction-decay fit")
-
-    p = sub.add_parser("averages", parents=[common],
-                       help="averaged potential over an action grid")
-    p.add_argument("--I", type=_float_list, required=True, metavar="LIST",
-                   help="comma-separated action values")
-    p.add_argument("--check-asymptotics", action="store_true",
-                   help="also fit the sqrt growth law and report levels")
-
-    p = sub.add_parser("oscillatory", parents=[common],
-                       help="periodic-perturbation average decay scan")
-    p.add_argument("--h-window", type=_window_arg, default=(1.0e4, 1.0e8, 65.0),
-                   metavar="LO,HI,POINTS", help="energy window for the scan")
-
-    p = sub.add_parser("simulate", parents=[integrating],
-                       help="dense trajectory samples over a time horizon")
-    p.add_argument("--I0", type=float, default=100.0, help="initial action")
-    p.add_argument("--t0", type=float, default=0.0, help="initial time")
-    p.add_argument("--horizon", type=float, default=harness.DEFAULT_HORIZON,
-                   help="time span to cover")
-
-    for name, blurb in (("poincare", "period-strobe orbit samples"),
-                        ("classify", "strobe orbit plus growth verdict")):
-        p = sub.add_parser(name, parents=[integrating], help=blurb)
-        p.add_argument("--I0", type=float, default=100.0, help="initial action")
-        p.add_argument("--t0", type=float, default=0.0, help="initial time")
-
-    p = sub.add_parser("sweep", parents=[integrating],
-                       help="verdicts over a grid of initial actions")
-    p.add_argument("--I0", type=_float_list, required=True, metavar="LIST",
-                   help="comma-separated initial actions")
-    p.add_argument("--t0", type=float, default=0.0, help="initial time")
-
-    p = sub.add_parser("escape-scan", parents=[integrating],
-                       help="verdicts over a grid of strobe phases")
-    p.add_argument("--I0", type=float, default=1.0e4, help="initial action")
-    p.add_argument("--phases", type=int, default=64,
-                   help="number of strobe phases to scan")
-
-    p = sub.add_parser("normalform-check", parents=[common],
-                       help="averaging-generator closure residuals")
-    p.add_argument("--h", type=float, default=1.0e4, help="energy level")
+    for experiment, row in harness.TABLE.items():
+        p = sub.add_parser(experiment.replace("_", "-"), parents=[common],
+                           help=row.help)
+        for key, knob in {**row.numeric, **row.grids}.items():
+            if knob.kind == "initial":  # a config-file key only
+                continue
+            flag = "--strobes" if key == "N" else "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, help=_help(knob),
+                           **_ARGS_OF_KIND[knob.kind])
 
     p = sub.add_parser("scenarios", help="list builtin scenarios")
     p.add_argument("--json", action="store_true", help="machine readable")
@@ -136,71 +110,37 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SpecValidationError(f"cannot read {what} file: {exc}")
+    except ValueError as exc:  # also ints past the digit limit
+        raise SpecValidationError(f"{what} file is not valid JSON: {exc}")
+
+
 def _load_system(args):
     if args.scenario:
         return harness.scenario_system(args.scenario)
     if args.system:
-        try:
-            with open(args.system) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise SpecValidationError(f"cannot read system file: {exc}")
-        except ValueError as exc:  # also ints past the digit limit
-            raise SpecValidationError(f"system file is not valid JSON: {exc}")
-        return system_from_config(obj)
+        return system_from_config(_read_json(args.system, "system"))
     raise SpecValidationError("provide --system FILE or --scenario NAME")
-
-
-def _collect_grids(args) -> dict:
-    grids = {}
-    cmd = args.command
-    if cmd == "conditions" and args.beta_window is not None:
-        grids["beta_window"] = args.beta_window
-    elif cmd == "averages":
-        grids["I"] = args.I
-        if args.check_asymptotics:
-            grids["check_asymptotics"] = (1.0,)
-    elif cmd == "oscillatory":
-        grids["h_window"] = args.h_window
-    elif cmd in ("simulate", "poincare", "classify"):
-        grids["I0"] = (args.I0,)
-        grids["t0"] = (args.t0,)
-    elif cmd == "sweep":
-        grids["I0"] = args.I0
-        grids["t0"] = (args.t0,)
-    elif cmd == "escape-scan":
-        grids["I0"] = (args.I0,)
-        grids["phases"] = (float(args.phases),)
-    elif cmd == "normalform-check":
-        grids["h"] = (args.h,)
-    return grids
-
-
-_DEFAULT_STROBES = {
-    "simulate": 256,
-    "poincare": 500,
-    "classify": 500,
-    "sweep": 2000,
-    "escape-scan": 2000,
-}
 
 
 def _run_experiment(args) -> int:
     system = _load_system(args)
-    N = getattr(args, "strobes", None)
-    if N is None:
-        N = _DEFAULT_STROBES.get(args.command, harness.DEFAULT_N)
-    tol = getattr(args, "tol", None)
-    horizon = getattr(args, "horizon", harness.DEFAULT_HORIZON)
+    experiment = args.command.replace("-", "_")
+    row = harness.TABLE[experiment]
+    # the knobs given, in the shape of a config file's numeric block
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    numeric = {key: given[key] for key in row.numeric if key in given}
+    numeric["grids"] = {key: list(v) if isinstance(v, tuple) else [v]
+                        for key, v in given.items() if key in row.grids}
     cfg = harness.ExperimentConfig(
         system=system,
-        experiment=args.command.replace("-", "_"),
-        numeric=harness.NumericConfig(
-            tol=tol if tol is not None else harness.DEFAULT_TOL,
-            N=N,
-            horizon=horizon,
-            grids=_collect_grids(args),
-        ),
+        experiment=experiment,
+        numeric=harness.numeric_config(experiment, numeric),
         output=harness.OutputConfig(dir=args.out, formats=args.format),
     )
     for path in harness.run(cfg):
@@ -226,22 +166,9 @@ def _run_bundle(args) -> int:
                 raise SpecValidationError(
                     f"{knob} does not apply to run --config; set it in the "
                     "config's numeric block (numeric.tol, numeric.N)")
-        try:
-            with open(args.config) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise SpecValidationError(f"cannot read config file: {exc}")
-        except ValueError as exc:  # also ints past the digit limit
-            raise SpecValidationError(f"config file is not valid JSON: {exc}")
-        cfg = harness.parse_config(obj)
+        cfg = harness.parse_config(_read_json(args.config, "config"))
         if args.out is not None:
-            cfg = harness.ExperimentConfig(
-                system=cfg.system,
-                experiment=cfg.experiment,
-                numeric=cfg.numeric,
-                output=harness.OutputConfig(
-                    dir=args.out, formats=cfg.output.formats),
-            )
+            cfg = replace(cfg, output=replace(cfg.output, dir=args.out))
         written = harness.run(cfg)
     else:
         out = args.out if args.out is not None else args.scenario + "-out"

@@ -19,12 +19,16 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (
+    ArithmeticFailureError,
     InadmissibleFunctionError,
     SpecValidationError,
     UnsupportedExponentError,
 )
 
 TWO_PI = 2.0 * math.pi
+# largest n a system file may ask for: one strobe from I0 = 100 takes
+# about 86 000 steps at n = 1000, under a tenth of the step budget
+MAX_N = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +236,28 @@ def _compile_numpy(spec: FunctionSpec) -> Callable:
 
 
 def evaluate(spec: FunctionSpec, x):
-    """Evaluate at a float or ndarray argument."""
+    """Evaluate at a float or ndarray argument.
+
+    An invalid operation (inf - inf, 0 * inf) or an overflow inside the
+    expression raises ArithmeticFailureError naming the spec and x.
+    """
     f = _compile_numpy(spec)
-    if isinstance(x, np.ndarray):
-        x = x.astype(float, copy=False)
-        value = f(x)
-        if value is x:  # the source of Linear(1) is x itself
-            return x.copy()
-        if isinstance(value, (np.ndarray, np.generic)):
-            return value
-        # the source of a constant spec never reads x
-        return np.full(x.shape, value, dtype=float)
-    return float(f(float(x)))
+    try:
+        with np.errstate(invalid="raise", over="raise"):
+            if not isinstance(x, np.ndarray):
+                return float(f(float(x)))
+            x = x.astype(float, copy=False)
+            value = f(x)
+    except FloatingPointError as exc:
+        at = (f"x = {x!r}" if np.ndim(x) == 0 else
+              f"{x.size} points in [{x.min()}, {x.max()}]")
+        raise ArithmeticFailureError(f"{exc} evaluating {spec!r} at {at}") from None
+    if value is x:  # the source of Linear(1) is x itself
+        return x.copy()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value
+    # the source of a constant spec never reads x
+    return np.full(x.shape, value, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +675,9 @@ def system_from_config(obj, path: str = "system") -> DuffingSystem:
     if unknown:
         raise SpecValidationError(f"{path}: unknown keys {sorted(unknown)}")
     n = obj.get("n")
-    if not isinstance(n, int) or not _is_finite_number(n) or n < 1:
+    if not _is_finite_number(n) or not isinstance(n, int) or not 1 <= n <= MAX_N:
         raise SpecValidationError(
-            f"{path}.n: expected a positive integer in the float range")
+            f"{path}.n: expected an integer in [1, {MAX_N}]")
     if "g" not in obj:
         raise SpecValidationError(f"{path}: missing key 'g'")
     g = spec_from_config(obj["g"], f"{path}.g")

@@ -17,7 +17,6 @@ import io
 import json
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,25 +40,13 @@ from .functions import (
     Sum,
     TrigPoly,
     DuffingSystem,
-    _require_number,
+    _is_finite_number,
     make_system,
     system_from_config,
     system_to_config,
 )
 
 TWO_PI = 2.0 * math.pi
-
-EXPERIMENTS = (
-    "conditions",
-    "averages",
-    "oscillatory",
-    "simulate",
-    "poincare",
-    "classify",
-    "sweep",
-    "escape_scan",
-    "normalform_check",
-)
 
 FORMATS = ("csv", "json")
 
@@ -68,33 +55,105 @@ DEFAULT_N = 500
 DEFAULT_HORIZON = 200.0
 # most points an energy window ([lo, hi, points]) or a phase scan may ask for
 MAX_GRID_POINTS = 10_000
+# most strobes an orbit may ask for: 50 times the largest default
+MAX_STROBES = 100_000
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One knob of an experiment: its kind, help line, default and bound.
+
+    A grid key is a list of numbers: "actions" (required, any length),
+    "window" ([lo, hi, points] with lo >= `lo`, hi >= `span` * lo and 8 to
+    MAX_GRID_POINTS points), "count" (whole), "flag" (0 or 1), "scalar" or
+    "initial" ([x0, y0, t0] in place of I0 and t0; config files only).
+    tol, N and horizon are bare numbers.  Numbers lie in [lo, hi], or
+    (lo, hi] when `above`; a default of None leaves the knob out.
+    """
+    kind: str
+    help: str
+    default: object = None
+    lo: float = -math.inf
+    hi: float = math.inf
+    above: bool = False
+    span: float = 1.0
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A row of the experiment table: the command-line blurb, the numeric
+    knobs the experiment reads and its grid keys, in command-line order."""
+    help: str
+    grids: dict
+    numeric: dict = field(default_factory=dict)
+
+
+def _orbit_knobs(N: int, **extra) -> dict:
+    return {
+        "tol": Knob("scalar", "integration tolerance", DEFAULT_TOL,
+                    lo=dyn.TOL_MIN, hi=dyn.TOL_MAX),
+        "N": Knob("count", "strobe count", N, lo=1, hi=MAX_STROBES),
+        **extra,
+    }
+
+
+_T0 = Knob("scalar", "initial time", 0.0)
+_START = {
+    "I0": Knob("scalar", "initial action", 100.0, lo=0.0, above=True),
+    "t0": _T0,
+    "initial": Knob("initial", "initial state [x0, y0, t0]"),
+}
+
+TABLE = {
+    "conditions": Experiment(
+        "resonance balance report, optional tail fit",
+        {"beta_window": Knob(
+            "window", "energy window for the correction-decay fit "
+            "(default: none, no fit)", lo=100.0, span=1.0e4)}),
+    "averages": Experiment(
+        "averaged potential over an action grid",
+        {"I": Knob("actions", "comma-separated action values", lo=0.0),
+         "check_asymptotics": Knob(
+             "flag", "also fit the sqrt growth law and report levels", False)}),
+    "oscillatory": Experiment(
+        "periodic-perturbation average decay scan",
+        {"h_window": Knob("window", "energy window for the scan",
+                          (1.0e4, 1.0e8, 65), lo=1.0, span=1.0e3)}),
+    "simulate": Experiment(
+        "dense trajectory samples over a time horizon", _START,
+        _orbit_knobs(256, horizon=Knob("scalar", "time span to cover",
+                                       DEFAULT_HORIZON, lo=0.0, above=True))),
+    "poincare": Experiment("period-strobe orbit samples", _START,
+                           _orbit_knobs(DEFAULT_N)),
+    "classify": Experiment("strobe orbit plus growth verdict", _START,
+                           _orbit_knobs(DEFAULT_N)),
+    "sweep": Experiment(
+        "verdicts over a grid of initial actions",
+        {"I0": Knob("actions", "comma-separated initial actions",
+                    lo=0.0, above=True),
+         "t0": _T0},
+        _orbit_knobs(2000)),
+    "escape_scan": Experiment(
+        "verdicts over a grid of strobe phases",
+        {"I0": Knob("scalar", "initial action", 1.0e4, lo=0.0, above=True),
+         "phases": Knob("count", "number of strobe phases to scan", 64,
+                        lo=32, hi=MAX_GRID_POINTS)},
+        _orbit_knobs(2000)),
+    "normalform_check": Experiment(
+        "averaging-generator closure residuals",
+        {"h": Knob("scalar", "energy level", 1.0e4, lo=0.0)}),
+}
+
+EXPERIMENTS = tuple(TABLE)
 
 
 @dataclass(frozen=True)
 class NumericConfig:
+    """Typed knobs: int counts, bool flags, float scalars, tuples."""
     tol: float = DEFAULT_TOL
     N: int = DEFAULT_N
     horizon: float = DEFAULT_HORIZON
     grids: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        # a nan or inf knob would otherwise run to the step budget or
-        # write nan rows; reject it before anything runs
-        checks = {"tol": (self.tol,), "horizon": (self.horizon,)}
-        checks.update((f"grids.{k}", v) for k, v in self.grids.items())
-        for key, values in checks.items():
-            if not all(math.isfinite(v) for v in values):
-                raise SpecValidationError(
-                    f"config.numeric.{key}: expected finite numbers, "
-                    f"got {list(values)}")
-        if self.horizon <= 0.0:
-            raise SpecValidationError("config.numeric.horizon: must be positive")
-        # the integrator's own checks, run here where the knob can be named
-        for key, check in (("N", dyn._check_N), ("tol", dyn._check_tol)):
-            try:
-                check(getattr(self, key))
-            except SpecValidationError as exc:
-                raise SpecValidationError(f"config.numeric.{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -111,6 +170,76 @@ class ExperimentConfig:
     output: OutputConfig = OutputConfig()
 
 
+def _read(knob: Knob, raw, path: str):
+    """The typed value of a knob given as a list of numbers."""
+    if not isinstance(raw, list) or not raw:
+        raise SpecValidationError(f"{path}: expected a nonempty list")
+    if knob.kind == "flag":
+        if len(raw) != 1 or raw[0] not in (0, 1):
+            raise SpecValidationError(f"{path}: expected [0] or [1], got {raw!r}")
+        return bool(raw[0])
+    if not all(_is_finite_number(v) for v in raw):
+        raise SpecValidationError(f"{path}: expected finite numbers, got {raw!r}")
+    size = {"window": 3, "initial": 3, "actions": len(raw)}.get(knob.kind, 1)
+    if len(raw) != size:
+        raise SpecValidationError(f"{path}: expected {size} numbers, got {len(raw)}")
+    values = tuple(float(v) for v in raw)
+    if knob.kind == "window":
+        lo, hi, points = values
+        if not (lo >= knob.lo and hi / lo >= knob.span and points.is_integer()
+                and 8 <= points <= MAX_GRID_POINTS):
+            raise SpecValidationError(
+                f"{path}: need lo >= {knob.lo:g}, hi >= {knob.span:g} * lo and "
+                f"a whole number of points in [8, {MAX_GRID_POINTS}], got {raw!r}")
+        return lo, hi, int(points)
+    count = knob.kind == "count"
+    for v, entry in zip(values, raw):
+        if (not (v > knob.lo if knob.above else v >= knob.lo) or v > knob.hi
+                or (count and not v.is_integer())):
+            raise SpecValidationError(
+                f"{path}: must be a {'whole ' if count else ''}number in "
+                f"{'(' if knob.above else '['}{knob.lo:g}, {knob.hi:g}], "
+                f"got {entry!r}")
+    if knob.kind in ("actions", "initial"):
+        return values
+    return int(values[0]) if count else values[0]
+
+
+def numeric_config(experiment: str, num) -> NumericConfig:
+    """Check a config's numeric block against the table and fill defaults.
+
+    This is the one validator of every entry point: a knob or grid key the
+    experiment does not read, a value outside its bound and `initial`
+    given together with I0 or t0 are refused naming their config path.
+    """
+    row = TABLE[experiment]
+    given = num.get("grids", {}) if isinstance(num, dict) else None
+    for path, block, reads in (("config.numeric", num, {"grids", *row.numeric}),
+                               ("config.numeric.grids", given, row.grids)):
+        if not isinstance(block, dict):
+            raise SpecValidationError(f"{path}: expected an object")
+        unread = sorted(set(block) - set(reads))
+        if unread:
+            raise SpecValidationError(
+                f"{path}.{unread[0]}: not read by {experiment}")
+    knobs = {key: (_read(knob, [num[key]], f"config.numeric.{key}")
+                   if key in num else knob.default)
+             for key, knob in row.numeric.items()}
+    if "initial" in given and given.keys() & {"I0", "t0"}:
+        raise SpecValidationError(
+            "config.numeric.grids.initial: give either initial or I0 and t0")
+    grids = {}
+    for key, knob in row.grids.items():
+        path = f"config.numeric.grids.{key}"
+        if key in given:
+            grids[key] = _read(knob, given[key], path)
+        elif knob.kind == "actions":
+            raise SpecValidationError(f"{path}: required by {experiment}")
+        elif knob.default is not None and "initial" not in given:
+            grids[key] = knob.default
+    return NumericConfig(**knobs, grids=grids)
+
+
 def parse_config(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise SpecValidationError("config: expected an object")
@@ -121,36 +250,12 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise SpecValidationError("config: 'system' and 'experiment' are required")
     system = system_from_config(obj["system"])
     experiment = obj["experiment"]
-    if experiment not in EXPERIMENTS:
+    if experiment not in EXPERIMENTS:  # a tuple: the value may be unhashable
         raise SpecValidationError(
             f"config: unknown experiment {experiment!r}; "
             f"choose one of {', '.join(EXPERIMENTS)}"
         )
-    num = obj.get("numeric", {})
-    if not isinstance(num, dict):
-        raise SpecValidationError("config.numeric: expected an object")
-    unknown = set(num) - {"tol", "N", "horizon", "grids"}
-    if unknown:
-        raise SpecValidationError(f"config.numeric: unknown keys {sorted(unknown)}")
-    tol = _require_number(num, "tol", "config.numeric") if "tol" in num else DEFAULT_TOL
-    N = num.get("N", DEFAULT_N)
-    horizon = (_require_number(num, "horizon", "config.numeric")
-               if "horizon" in num else DEFAULT_HORIZON)
-    grids_in = num.get("grids", {})
-    if not isinstance(grids_in, dict):
-        raise SpecValidationError("config.numeric.grids: expected an object")
-    grids = {}
-    for key, val in grids_in.items():
-        if not isinstance(val, (list, tuple)) or not val:
-            raise SpecValidationError(
-                f"config.numeric.grids.{key}: expected a nonempty list"
-            )
-        try:
-            grids[str(key)] = tuple(float(v) for v in val)
-        except (TypeError, ValueError, OverflowError):
-            raise SpecValidationError(
-                f"config.numeric.grids.{key}: entries must be numbers"
-            )
+    numeric = numeric_config(experiment, obj.get("numeric", {}))
     out = obj.get("output", {})
     if not isinstance(out, dict):
         raise SpecValidationError("config.output: expected an object")
@@ -166,7 +271,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     return ExperimentConfig(
         system=system,
         experiment=experiment,
-        numeric=NumericConfig(tol=tol, N=N, horizon=horizon, grids=grids),
+        numeric=numeric,
         output=OutputConfig(
             dir=str(out.get("dir", ".")),
             formats=tuple(f for f in FORMATS if f in formats),
@@ -175,15 +280,16 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
 
 def resolved_config(cfg: ExperimentConfig) -> dict:
+    """The config echo: exactly the knobs the experiment reads."""
+    numeric = {key: getattr(cfg.numeric, key)
+               for key in TABLE[cfg.experiment].numeric}
+    numeric["grids"] = {
+        k: list(v) if isinstance(v, tuple) else [int(v) if isinstance(v, bool) else v]
+        for k, v in sorted(cfg.numeric.grids.items())}
     return {
         "system": system_to_config(cfg.system),
         "experiment": cfg.experiment,
-        "numeric": {
-            "tol": cfg.numeric.tol,
-            "N": cfg.numeric.N,
-            "horizon": cfg.numeric.horizon,
-            "grids": {k: list(v) for k, v in sorted(cfg.numeric.grids.items())},
-        },
+        "numeric": numeric,
         "output": {
             "dir": cfg.output.dir,
             "formats": list(cfg.output.formats),
@@ -235,78 +341,40 @@ def write_json(path: str, obj) -> None:
 
 def _start(cfg: ExperimentConfig, I0: float, t0: float) -> PhaseState:
     """The state at time t0 on the x axis with action I0."""
-    if I0 <= 0.0:
-        raise SpecValidationError(f"grids.I0 must be positive, got {I0}")
     return PhaseState(x=math.sqrt(2.0 * I0 / cfg.system.n), y=0.0, t=t0)
 
 
 def _initial_state(cfg: ExperimentConfig) -> PhaseState:
     grids = cfg.numeric.grids
-    init = grids.get("initial")
-    if init is not None:
-        if len(init) != 3:
-            raise SpecValidationError("grids.initial must be [x0, y0, t0]")
-        return PhaseState(x=init[0], y=init[1], t=init[2])
-    return _start(cfg, grids.get("I0", (100.0,))[0], grids.get("t0", (0.0,))[0])
-
-
-@contextmanager
-def _naming_grid(key: str):
-    """Report a window the library refuses (ValueError) as a config error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise SpecValidationError(f"grids.{key}: {exc}") from None
-
-
-def _count(key: str, value: float) -> int:
-    """A point count from the grids, refused before anything is allocated."""
-    if value != int(value) or value > MAX_GRID_POINTS:
-        raise SpecValidationError(
-            f"grids.{key}: points must be a whole number of at most "
-            f"{MAX_GRID_POINTS}, got {value!r}")
-    return int(value)
-
-
-def _window(cfg: ExperimentConfig, key: str, default=None):
-    """(lo, hi, points, geometric grid) of a [lo, hi, points] grid entry."""
-    spec = cfg.numeric.grids.get(key, default)
-    if len(spec) != 3:
-        raise SpecValidationError(f"grids.{key} must be [lo, hi, points]")
-    lo, hi, points = spec
-    points = _count(key, points)
-    with _naming_grid(key):
-        return lo, hi, points, geometric_grid(lo, hi, points)
+    if "initial" in grids:
+        return PhaseState(*grids["initial"])
+    return _start(cfg, grids["I0"], grids["t0"])
 
 
 def _run_conditions(cfg: ExperimentConfig):
     report = cond.lazer_leach_report(cfg.system)
     artifacts = [("conditions.json", report.to_json_dict())]
     if "beta_window" in cfg.numeric.grids:
-        lo, hi, points, grid = _window(cfg, "beta_window")
-        with _naming_grid("beta_window"):
-            est = cond.critical_d_estimate(
-                cfg.system, h_min=lo, h_max=hi, points=points)
+        lo, hi, points = cfg.numeric.grids["beta_window"]
+        est = cond.critical_d_estimate(
+            cfg.system, h_min=lo, h_max=hi, points=points)
         payload = est.to_json_dict()
         payload["predicted_with_d"] = cond.classify_theorem(cfg.system, est).value
         artifacts.append(("dfit.json", payload))
-        profile = cond.beta_profile(cfg.system, grid)
+        profile = cond.beta_profile(cfg.system, geometric_grid(lo, hi, points))
         artifacts.append(
             ("beta.csv", ("h", "beta"), [(h, b) for h, b in profile]))
     return artifacts
 
 
 def _run_averages(cfg: ExperimentConfig):
-    grid = cfg.numeric.grids.get("I")
-    if grid is None:
-        raise SpecValidationError("averages needs grids.I (list of actions)")
     rows = []
-    for I in grid:
+    for I in cfg.numeric.grids["I"]:
         value = averaged_potential(cfg.system, I)
         scaled = value / math.sqrt(I) if I > 0.0 else 0.0
         rows.append((I, value, scaled))
     artifacts = [("averages.csv", ("I", "avg_f1", "scaled"), rows)]
-    if cfg.numeric.grids.get("check_asymptotics"):
+    if cfg.numeric.grids["check_asymptotics"]:
         check = averaged_potential_slope_check(cfg.system)
         artifacts.append(("asymptotics.json", {
             "slope": check.fit.slope,
@@ -318,7 +386,7 @@ def _run_averages(cfg: ExperimentConfig):
 
 
 def _run_oscillatory(cfg: ExperimentConfig):
-    grid = _window(cfg, "h_window", (1.0e4, 1.0e8, 65))[3]
+    grid = geometric_grid(*cfg.numeric.grids["h_window"])
     rows = [(h, osc.psi_average(cfg.system, h)) for h in grid]
     fit = osc.decay_fit_envelope(rows, 4.0)
     return [
@@ -381,10 +449,8 @@ def _run_classify(cfg: ExperimentConfig):
 
 
 def _run_sweep(cfg: ExperimentConfig):
-    I0_grid = cfg.numeric.grids.get("I0")
-    if I0_grid is None:
-        raise SpecValidationError("sweep needs grids.I0 (list of actions)")
-    t0 = cfg.numeric.grids.get("t0", (0.0,))[0]
+    I0_grid = cfg.numeric.grids["I0"]
+    t0 = cfg.numeric.grids["t0"]
     initials = [_start(cfg, I0, t0) for I0 in I0_grid]
     verdicts = dyn.sweep(cfg.system, initials, cfg.numeric.N, cfg.numeric.tol)
     rows = []
@@ -405,10 +471,10 @@ def _run_sweep(cfg: ExperimentConfig):
 
 
 def _run_escape_scan(cfg: ExperimentConfig):
-    I0 = cfg.numeric.grids.get("I0", (1.0e4,))[0]
-    phases = _count("phases", cfg.numeric.grids.get("phases", (64,))[0])
+    phases = cfg.numeric.grids["phases"]
     scan = dyn.critical_escape_scan(
-        cfg.system, I0, phases, cfg.numeric.N, cfg.numeric.tol)
+        cfg.system, cfg.numeric.grids["I0"], phases, cfg.numeric.N,
+        cfg.numeric.tol)
     rows = [
         (k, TWO_PI * k / phases, v.verdict, v.max_I, v.min_I,
          None if v.growth_fit is None else v.growth_fit.slope, v.error)
@@ -423,10 +489,8 @@ def _run_escape_scan(cfg: ExperimentConfig):
 
 
 def _run_normalform(cfg: ExperimentConfig):
-    h = cfg.numeric.grids.get("h", (1.0e4,))[0]
-    if h < 0.0:
-        raise SpecValidationError(f"grids.h must be nonnegative, got {h}")
-    return [("normalform.json", normal_form_residuals(cfg.system, h))]
+    return [("normalform.json",
+             normal_form_residuals(cfg.system, cfg.numeric.grids["h"]))]
 
 
 _RUNNERS = {
@@ -445,40 +509,33 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig) -> list:
     """Execute one experiment; returns the list of file paths written.
 
-    The resolved config echo is always written.  A numeric failure writes
-    errors.json with the failure details and re-raises for the caller to
+    An input the runner refuses writes no file.  Otherwise the resolved
+    config echo is always written; a numeric failure writes errors.json
+    with the failure details next to it and re-raises for the caller to
     map onto an exit status.
     """
-    out_dir = cfg.output.dir
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    echo = os.path.join(out_dir, "config.json")
-    write_json(echo, resolved_config(cfg))
-    written.append(echo)
+    os.makedirs(cfg.output.dir, exist_ok=True)
+    failure = None
     try:
-        artifacts = _RUNNERS[cfg.experiment](cfg)
+        artifacts = [a for a in _RUNNERS[cfg.experiment](cfg)
+                     if a[0].rsplit(".", 1)[1] in cfg.output.formats]
     except NumericFailureError as exc:
-        err_path = os.path.join(out_dir, "errors.json")
-        write_json(err_path, {
+        failure = exc
+        artifacts = [("errors.json", {
             "error": type(exc).__name__,
             "message": str(exc),
             "details": {k: _fmt(v) for k, v in sorted(exc.details.items())},
-        })
-        written.append(err_path)
-        raise
-    for artifact in artifacts:
-        name = artifact[0]
-        path = os.path.join(out_dir, name)
+        })]
+    written = []
+    for name, *content in [("config.json", resolved_config(cfg)), *artifacts]:
+        path = os.path.join(cfg.output.dir, name)
         if name.endswith(".csv"):
-            if "csv" not in cfg.output.formats:
-                continue
-            _, header, rows = artifact
-            write_csv(path, header, rows)
+            write_csv(path, *content)
         else:
-            if "json" not in cfg.output.formats:
-                continue
-            write_json(path, artifact[1])
+            write_json(path, *content)
         written.append(path)
+    if failure is not None:
+        raise failure
     return written
 
 
@@ -532,12 +589,12 @@ def _linear_system() -> DuffingSystem:
 class Scenario:
     name: str
     description: str
-    # rows of (slug, system alias, experiment, default tol, default N, grids)
+    # rows of (slug, system alias, experiment, numeric block of a config);
+    # the table's defaults fill whatever a block leaves out
     runs: tuple
 
 
-_BETA_WINDOW = {"beta_window": (1.0e4, 1.0e9, 12.0)}
-_SCAN_GRIDS = {"I0": (1.0e4,), "phases": (64.0,)}
+_BETA_WINDOW = {"grids": {"beta_window": [1.0e4, 1.0e9, 12]}}
 
 SCENARIOS = (
     Scenario(
@@ -548,8 +605,8 @@ SCENARIOS = (
             "climbs, reproduced as an Escaping verdict from I0=25."
         ),
         runs=(
-            ("conditions", "ding", "conditions", DEFAULT_TOL, 500, {}),
-            ("classify", "ding", "classify", DEFAULT_TOL, 500, {"I0": (25.0,)}),
+            ("conditions", "ding", "conditions", {}),
+            ("classify", "ding", "classify", {"grids": {"I0": [25.0]}}),
         ),
     ),
     Scenario(
@@ -560,9 +617,9 @@ SCENARIOS = (
             "I0 in [50, 500] stays confined (BoundedEvidence)."
         ),
         runs=(
-            ("conditions", "ll-bounded", "conditions", DEFAULT_TOL, 500, {}),
-            ("sweep", "ll-bounded", "sweep", DEFAULT_TOL, 2000,
-             {"I0": tuple(geometric_grid(50.0, 500.0, 20))}),
+            ("conditions", "ll-bounded", "conditions", {}),
+            ("sweep", "ll-bounded", "sweep",
+             {"grids": {"I0": list(geometric_grid(50.0, 500.0, 20))}}),
         ),
     ),
     Scenario(
@@ -575,13 +632,11 @@ SCENARIOS = (
         ),
         runs=(
             ("below-conditions", "critical-pair-below", "conditions",
-             DEFAULT_TOL, 500, _BETA_WINDOW),
-            ("below-escape", "critical-pair-below", "escape_scan",
-             DEFAULT_TOL, 2000, _SCAN_GRIDS),
+             _BETA_WINDOW),
+            ("below-escape", "critical-pair-below", "escape_scan", {}),
             ("above-conditions", "critical-pair-above", "conditions",
-             DEFAULT_TOL, 500, _BETA_WINDOW),
-            ("above-escape", "critical-pair-above", "escape_scan",
-             DEFAULT_TOL, 2000, _SCAN_GRIDS),
+             _BETA_WINDOW),
+            ("above-escape", "critical-pair-above", "escape_scan", {}),
         ),
     ),
     Scenario(
@@ -591,8 +646,8 @@ SCENARIOS = (
             "action is conserved, classification is BoundedEvidence."
         ),
         runs=(
-            ("conditions", "linear", "conditions", DEFAULT_TOL, 500, {}),
-            ("classify", "linear", "classify", 1.0e-12, 100, {"I0": (100.0,)}),
+            ("conditions", "linear", "conditions", {}),
+            ("classify", "linear", "classify", {"tol": 1.0e-12, "N": 100}),
         ),
     ),
 )
@@ -638,15 +693,15 @@ def run_scenario(name: str, out_dir: str, tol: float = None,
             f"unknown scenario {name!r}; "
             f"choose one of {', '.join(s.name for s in SCENARIOS)}"
         )
-    scenario = _SCENARIO_INDEX[name]
-    written = []
-    for slug, alias, experiment, default_tol, default_N, grids in scenario.runs:
-        written.extend(run(ExperimentConfig(
+    configs = []
+    for slug, alias, experiment, numeric in _SCENARIO_INDEX[name].runs:
+        overrides = {k: v for k, v in (("tol", tol), ("N", strobes))
+                     if v is not None and k in TABLE[experiment].numeric}
+        configs.append(ExperimentConfig(
             system=scenario_system(alias),
             experiment=experiment,
-            numeric=NumericConfig(
-                tol=default_tol if tol is None else tol,
-                N=default_N if strobes is None else strobes, grids=grids),
+            numeric=numeric_config(experiment, {**numeric, **overrides}),
             output=OutputConfig(dir=os.path.join(out_dir, slug)),
-        )))
-    return written
+        ))
+    # every run is checked before the first one starts
+    return [path for cfg in configs for path in run(cfg)]

@@ -3,21 +3,26 @@
 Every subcommand, and `run --config` documents, get their knobs from an
 edge pool: 0, -1, nan, inf, 1e308, an integer past the float range,
 non-numbers and missing keys.  Whatever the input, the exit status is 0, 2
-or 3, and errors.json is written exactly when it is 3; an uncaught
-exception (a traceback, exit 1) fails the test.  One usable CPU is
-reported, so nothing forks, and strobe counts stay at or below 3.
+or 3, errors.json is written exactly when it is 3, and nothing at all is
+written when it is 2; an uncaught exception (a traceback, exit 1) fails
+the test.  A last property gives the same valid knobs once as argv and
+once as a `run --config` document and requires byte-identical trees.  One
+usable CPU is reported, so nothing forks; fuzzed strobe counts stay at or
+below 3.
 """
 import json
 import math
 import os
+import shutil
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from duffinglab import cli
 from duffinglab.functions import system_to_config
-from duffinglab.harness import EXPERIMENTS, list_scenarios, scenario_system
+from duffinglab.harness import (
+    EXPERIMENTS, MAX_STROBES, TABLE, list_scenarios, scenario_system)
 
 HUGE = 10 ** 400  # an int that float() cannot hold
 
@@ -62,7 +67,10 @@ def _run(argv):
         if argv[0] != "scenarios":  # the listing writes no files
             argv += ["--out", out]
         rc = _exit_status(argv)
-        return rc, any("errors.json" in names for _, _, names in os.walk(out))
+        files = [name for _, _, names in os.walk(out) for name in names]
+        if rc == 2:  # refused inputs are refused before anything is written
+            assert files == [], argv
+        return rc, "errors.json" in files
 
 
 def _check(argv):
@@ -151,32 +159,50 @@ def command_lines(draw):
 
 
 GRIDS = {
-    "I0": (25.0, 1.0e4), "t0": (0.0,), "h": (1.0e4,), "phases": (32.0,),
+    "I0": (25.0,), "t0": (0.0,), "h": (1.0e4,), "phases": (32.0,),
     "I": (1.0e4,), "h_window": (1.0e4, 1.0e8, 9.0),
     "beta_window": (1.0e4, 1.0e9, 12.0), "initial": (5.0, 0.0, 0.0),
+    "check_asymptotics": (1,),
 }
+
+
+def _rarely(draw):
+    # hypothesis leans towards small integers, so 9 is the rare draw
+    return draw(st.integers(0, 9)) == 9
 
 
 @st.composite
 def config_documents(draw):
-    doc = {"system": DING,
-           "experiment": draw(st.sampled_from(EXPERIMENTS + ("bogus",)))}
-    numeric = {"N": draw(_value(N_JSON, 1, 3))}
-    for key, values in (("tol", _value(EDGE_JSON, 1.0e-9)),
+    experiment = draw(st.sampled_from(EXPERIMENTS + ("bogus",)))
+    doc = {"system": DING, "experiment": experiment}
+    row = TABLE.get(experiment)
+    # mostly the knobs and grid keys the experiment reads, required ones
+    # included, so that most documents reach a runner; N always where it is
+    # read, which keeps orbits short
+    numeric = {}
+    for key, values in (("N", _value(N_JSON, 1, 3)),
+                        ("tol", _value(EDGE_JSON, 1.0e-9)),
                         ("horizon", _value(HORIZONS_JSON, 50.0))):
-        if draw(st.booleans()):
+        reads = row is not None and key in row.numeric
+        if (reads and (key == "N" or draw(st.booleans()))) or _rarely(draw):
             numeric[key] = draw(values)
+    if row is None or _rarely(draw):
+        keys = draw(st.sets(st.sampled_from(sorted(GRIDS))))
+    else:
+        keys = draw(st.sets(st.sampled_from(sorted(row.grids))))
+        if not _rarely(draw):
+            keys |= {k for k, knob in row.grids.items() if knob.kind == "actions"}
     grids = {}
-    for key in draw(st.sets(st.sampled_from(sorted(GRIDS)))):
+    for key in sorted(keys):
         entries = list(GRIDS[key])
-        if draw(st.integers(0, 3)) == 0:
+        if draw(st.integers(0, 3)) == 3:
             entries[draw(st.integers(0, len(entries) - 1))] = draw(
                 st.sampled_from(EDGE_JSON))
         grids[key] = entries
-    if draw(st.booleans()):
+    if not _rarely(draw):
         numeric["grids"] = grids
     doc["numeric"] = numeric
-    if draw(st.integers(0, 9)) == 0:
+    if _rarely(draw):
         del doc[draw(st.sampled_from(("system", "experiment")))]
     return doc
 
@@ -213,6 +239,20 @@ def test_fuzzed_config_documents_exit_0_2_or_3(doc, monkeypatch):
     (["run", "--scenario", "ding", "--strobes", "0"], "config.numeric.N"),
     (["escape-scan", "--scenario", "ding", "--phases", "10001",
       "--strobes", "1"], "grids.phases"),
+    (["averages", "--scenario", "ding", "--I", "-1"], "grids.I"),
+    (["escape-scan", "--scenario", "ding", "--I0", "-1"], "grids.I0"),
+    (["escape-scan", "--scenario", "ding", "--phases", "2"], "grids.phases"),
+    (["run", "--config", {"system": DING, "experiment": "classify", "numeric": {
+        "grids": {"I00": [25.0], "phases": [64], "beta_window": [1e4, 1e9, 12]}}}],
+     "config.numeric.grids.I00"),
+    (["run", "--config", {"system": DING, "experiment": "conditions",
+                          "numeric": {"horizon": 200.0}}],
+     "config.numeric.horizon"),
+    (["conditions", "--system", {"n": 10 ** 6,
+                                 "g": {"kind": "arctan", "scale": 1.0}}],
+     "system.n"),
+    (["simulate", "--scenario", "ding", "--strobes", str(MAX_STROBES + 1)],
+     "config.numeric.N"),
 ])
 def test_bad_input_exits_2_naming_its_path(argv, named, capsys, monkeypatch):
     _one_cpu(monkeypatch)
@@ -228,3 +268,81 @@ def test_json_int_past_the_digit_limit_exits_2(argv, tmp_path):
     path.write_text('{"n": 1' + "0" * 5000 + "}")
     rc = _exit_status(argv + [str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+def _tree(root):
+    """{relative path: bytes} of every file under root."""
+    tree = {}
+    for base, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                tree[os.path.relpath(path, root)] = fh.read()
+    return tree
+
+
+# valid values of each knob; "I0" is a list where the experiment scans it
+KNOB_VALUES = {
+    "N": (1, 3), "tol": (1.0e-9, 1.0e-8), "horizon": (50.0,), "t0": (0.5,),
+    "I0": (25.0, 1.0e4), "I": ((1.0e4, 1.0e5),), "phases": (32,), "h": (1.0e4,),
+    "check_asymptotics": (True,), "h_window": ((1.0e4, 1.0e8, 9),),
+    "beta_window": ((1.0e4, 1.0e9, 12),),
+}
+
+
+@st.composite
+def knob_sets(draw):
+    """(experiment, {knob: typed value}).  Required knobs are always given,
+    and so is N where its default of 2000 strobes per orbit costs seconds."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    row = TABLE[experiment]
+    knobs = {}
+    for key, knob in {**row.numeric, **row.grids}.items():
+        always = knob.kind == "actions" or (key == "N" and knob.default > 500)
+        if knob.kind == "initial" or not (always or draw(st.booleans())):
+            continue
+        value = draw(st.sampled_from(KNOB_VALUES[key]))
+        if knob.kind == "actions" and not isinstance(value, tuple):
+            value = (value,)
+        knobs[key] = value
+    return experiment, knobs
+
+
+def _spell(value):
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return repr(value)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(case=knob_sets())
+@example(case=("simulate", {}))  # every default, N included
+@example(case=("classify", {}))
+def test_argv_and_config_document_write_identical_trees(case, monkeypatch):
+    _one_cpu(monkeypatch)
+    experiment, knobs = case
+    row = TABLE[experiment]
+    argv = [experiment.replace("_", "-"), "--scenario", "ding"]
+    numeric = {"grids": {}}
+    for key, value in knobs.items():
+        if key in row.numeric:
+            numeric[key] = value
+            argv += ["--strobes" if key == "N" else f"--{key}", _spell(value)]
+        else:
+            numeric["grids"][key] = list(value) if isinstance(value, tuple) else [value]
+            flag = "--" + key.replace("_", "-")
+            argv += [flag] if value is True else [flag, _spell(value)]
+    document = {"system": DING, "experiment": experiment, "numeric": numeric}
+    with tempfile.TemporaryDirectory() as root:
+        out = os.path.join(root, "out")
+        path = os.path.join(root, "config.json")
+        with open(path, "w") as fh:
+            json.dump(document, fh)
+        rc = _exit_status(argv + ["--out", out])
+        tree = _tree(out)
+        shutil.rmtree(out, ignore_errors=True)
+        assert _exit_status(["run", "--config", path, "--out", out]) == rc
+        assert _tree(out) == tree
+    assert rc in (0, 3) and "config.json" in tree

@@ -62,13 +62,13 @@ def test_parse_config_defaults():
 def test_parse_config_full():
     cfg = parse_config({
         "system": DING_SYSTEM,
-        "experiment": "classify",
+        "experiment": "simulate",
         "numeric": {"tol": 1e-10, "N": 64, "horizon": 50.0,
                     "grids": {"I0": [25.0], "t0": [0.5]}},
         "output": {"dir": "somewhere", "formats": ["json"]},
     })
     assert cfg.numeric.tol == 1e-10
-    assert cfg.numeric.grids == {"I0": (25.0,), "t0": (0.5,)}
+    assert cfg.numeric.grids == {"I0": 25.0, "t0": 0.5}
     assert cfg.output.formats == ("json",)
 
 
@@ -88,6 +88,11 @@ def test_parse_config_full():
     lambda c: c.update(output={"formats": ["yaml"]}),
     lambda c: c.update(output={"formats": []}),
     lambda c: c.update(output={"surprise": 1}),
+    # conditions reads no N or horizon, so the bounds need experiments that do
+    lambda c: c.update(experiment="classify", numeric={"N": 2.5}),
+    lambda c: c.update(experiment="classify", numeric={"N": True}),
+    lambda c: c.update(experiment="simulate", numeric={"horizon": -1.0}),
+    lambda c: c.update(experiment=["classify"]),
 ])
 def test_parse_config_rejects_bad_shapes(mutate):
     base = {"system": DING_SYSTEM, "experiment": "conditions"}
@@ -209,14 +214,13 @@ def test_run_formats_filter(tmp_path):
 
 
 def test_run_missing_grid_is_validation_error(tmp_path):
-    cfg = parse_config({
-        "system": DING_SYSTEM,
-        "experiment": "averages",
-        "output": {"dir": str(tmp_path)},
-    })
     with pytest.raises(SpecValidationError, match="grids.I"):
-        run(cfg)
-    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+        run(parse_config({
+            "system": DING_SYSTEM,
+            "experiment": "averages",
+            "output": {"dir": str(tmp_path)},
+        }))
+    assert os.listdir(tmp_path) == []
 
 
 def test_run_numeric_failure_writes_errors_json(tmp_path):

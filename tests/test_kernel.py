@@ -127,8 +127,16 @@ def test_compile_scalar_matches_reference(spec, x):
                  trig_polys(max_harmonics=4)),
        st.one_of(st.floats(), st.lists(st.floats(), max_size=8).map(np.array)))
 def test_evaluate_matches_reference(spec, x):
-    with np.errstate(all="ignore"):
-        got, want = fx.evaluate(spec, x), ref.evaluate(spec, x)
+    # evaluate raises on an invalid operation or an overflow: exactly where
+    # the reference meets one under the same errstate
+    try:
+        with np.errstate(invalid="raise", over="raise"):
+            want = ref.evaluate(spec, x)
+    except FloatingPointError:
+        with pytest.raises(ArithmeticFailureError):
+            fx.evaluate(spec, x)
+        return
+    got = fx.evaluate(spec, x)
     assert type(got) is type(want)
     assert np.array_equal(got, want, equal_nan=True)
 
