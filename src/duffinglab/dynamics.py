@@ -565,9 +565,9 @@ def _orbit_slots(system, initials: list, N: int, tol: float) -> list:
     """_orbit_slot of every initial state, in input order.
 
     The orbits are independent, so with W >= 2 usable CPUs they run in W
-    forked children: child w computes the slots of initials[w::W] exactly
-    as the serial loop would and pickles them back over a pipe, and the
-    parent interleaves the parts back into input order.  With one usable
+    forked children: child w computes the slots of its share (_deal)
+    exactly as the serial loop would and pickles them back over a pipe,
+    and the parent puts each slot back at its input index.  With one usable
     CPU (e.g. under `taskset -c 0`) nothing is forked.  A child that fails
     outside _orbit_slot's own error handling makes this call raise, and no
     child outlives it.  N and tol are checked once, before any fork.
@@ -579,6 +579,7 @@ def _orbit_slots(system, initials: list, N: int, tol: float) -> list:
     workers = min(cpus, len(initials))
     if workers < 2:
         return [_orbit_slot(system, s0, N, tol) for s0 in initials]
+    shares = _deal(len(initials), workers)
     pids = []
     reads = []  # read ends the parent has not yet taken over, else None
     try:
@@ -589,7 +590,7 @@ def _orbit_slots(system, initials: list, N: int, tol: float) -> list:
                 pid = os.fork()
                 if pid == 0:
                     _slots_child(write_fd, reads, system,
-                                 initials[w::workers], N, tol)
+                                 [initials[i] for i in shares[w]], N, tol)
             finally:
                 os.close(write_fd)
             pids.append(pid)
@@ -607,7 +608,8 @@ def _orbit_slots(system, initials: list, N: int, tol: float) -> list:
             ok, part = pickle.loads(payload)
             if not ok:
                 raise RuntimeError(f"orbit worker {w} of {workers} failed: {part}")
-            slots[w::workers] = part
+            for i, slot in zip(shares[w], part):
+                slots[i] = slot
         return slots
     finally:
         # a child blocked writing to a pipe nobody reads would never exit,
@@ -622,6 +624,21 @@ def _orbit_slots(system, initials: list, N: int, tol: float) -> list:
                 os.kill(pid, signal.SIGKILL)
             for pid in live:
                 os.waitpid(pid, 0)
+
+
+def _deal(count: int, workers: int) -> list:
+    """Input indices of each of `workers` children, dealt back and forth.
+
+    Round r hands one index to every child, in child order when r is even
+    and in reverse when odd (0, 3, 4, 7, ... and 1, 2, 5, 6, ... for two),
+    so on a grid whose orbit cost rises with the index no child always
+    gets the dearer end of each round.
+    """
+    shares = [[] for _ in range(workers)]
+    for i in range(count):
+        rnd, pos = divmod(i, workers)
+        shares[workers - 1 - pos if rnd % 2 else pos].append(i)
+    return shares
 
 
 def _slots_child(write_fd, reads, system, initials, N, tol):

@@ -200,6 +200,10 @@ def _read(knob: Knob, raw, path: str):
                 f"{path}: must be a {'whole ' if count else ''}number in "
                 f"{'(' if knob.above else '['}{knob.lo:g}, {knob.hi:g}], "
                 f"got {entry!r}")
+    if knob.kind == "initial" and values[0] == 0.0 and values[1] == 0.0:
+        raise SpecValidationError(
+            f"{path}: the start [x0, y0] is the origin, where the action "
+            f"and the angle are undefined; got {raw!r}")
     if knob.kind in ("actions", "initial"):
         return values
     return int(values[0]) if count else values[0]
@@ -514,7 +518,12 @@ def run(cfg: ExperimentConfig) -> list:
     with the failure details next to it and re-raises for the caller to
     map onto an exit status.
     """
-    os.makedirs(cfg.output.dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output.dir, exist_ok=True)
+    except OSError as exc:  # e.g. the path, or a parent of it, is a file
+        raise SpecValidationError(
+            f"config.output.dir: cannot create {cfg.output.dir!r}: "
+            f"{exc.strerror or exc}") from None
     failure = None
     try:
         artifacts = [a for a in _RUNNERS[cfg.experiment](cfg)

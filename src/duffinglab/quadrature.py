@@ -98,6 +98,9 @@ def even_circle_mean(f_even, rel_tol=None, abs_tol=None, n_start=64, n_cap=2 ** 
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# panels per integrand call in CumulativeIntegral: 16 nodes each, so one
+# block is 262 144 nodes and 2 MB per float temporary
+_PANEL_BLOCK = 1 << 14
 
 
 def gl_panel(f, a, b):
@@ -113,18 +116,24 @@ class CumulativeIntegral:
     The panel grid depends only on the panel count, never on theta, so two
     evaluations at nearby theta share every complete panel bit-for-bit and
     central differences of the result are noise-free.
+
+    The panels are evaluated _PANEL_BLOCK at a time, so memory is bounded
+    by one block whatever the panel count; each panel's integral, and the
+    one running sum over them, is the same bit for bit as in one pass.
     """
 
     def __init__(self, f, n_panels):
         self.f = f
         self.n_panels = int(n_panels)
         self.width = TWO_PI / self.n_panels
-        edges = np.arange(self.n_panels + 1) * self.width
         half = 0.5 * self.width
-        centers = edges[:-1] + half
-        x = centers[:, None] + half * _GL_NODES[None, :]
-        vals = f(x.ravel()).reshape(self.n_panels, 16)
-        panel_ints = half * vals @ _GL_WEIGHTS
+        panel_ints = np.empty(self.n_panels)
+        for start in range(0, self.n_panels, _PANEL_BLOCK):
+            stop = min(start + _PANEL_BLOCK, self.n_panels)
+            centers = np.arange(start, stop) * self.width + half
+            x = centers[:, None] + half * _GL_NODES[None, :]
+            vals = f(x.ravel()).reshape(stop - start, 16)
+            panel_ints[start:stop] = half * vals @ _GL_WEIGHTS
         self.prefix = np.concatenate(([0.0], np.cumsum(panel_ints)))
 
     def __call__(self, theta):

@@ -58,6 +58,16 @@ def test_fanned_slots_equal_serial_slots(cpus, monkeypatch):
     assert all(isinstance(fit, DecayFit) for _, fit in serial[:3] + serial[4:])
 
 
+def test_orbits_are_dealt_back_and_forth():
+    assert dynamics._deal(8, 2) == [[0, 3, 4, 7], [1, 2, 5, 6]]
+    assert dynamics._deal(7, 3) == [[0, 5, 6], [1, 4], [2, 3]]
+    for count, workers in ((1, 1), (5, 2), (64, 3), (20, 7)):
+        shares = dynamics._deal(count, workers)
+        assert len(shares) == workers
+        assert sorted(i for share in shares for i in share) == list(range(count))
+        assert max(map(len, shares)) - min(map(len, shares)) <= 1
+
+
 def test_bad_knobs_raise_before_any_fork(monkeypatch):
     _cpus(monkeypatch, 2)
 

@@ -399,14 +399,20 @@ def test_cli_bad_window_exits_2_without_traceback(argv, named, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def _run_module(argv):
-    """`python -m duffinglab argv` from this checkout's src."""
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run_module(argv):
+    """`python -m duffinglab argv` from this checkout's src."""
     return subprocess.run([sys.executable, "-m", "duffinglab", *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=120)
 
 
 def test_cli_float_overflow_exits_3_without_traceback(tmp_path):
@@ -487,3 +493,50 @@ def test_cli_classify_csv_is_rfc4180(tmp_path, capsys):
     # every float field carries 17 significant digits
     x_field = lines[1].split(b",")[2].decode()
     assert float(x_field) == pytest.approx(math.sqrt(200.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["conditions", "--scenario", "ding"],
+    ["run", "--scenario", "ding"],
+    ["run", "--config", {"system": DING_SYSTEM, "experiment": "conditions"}],
+])
+def test_cli_out_naming_a_file_exits_2_and_writes_nothing(argv, tmp_path, capsys):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(path)]
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    before = _snapshot(str(tmp_path))
+    assert cli.main(argv + ["--out", str(afile)]) == 2
+    assert "config.output.dir" in capsys.readouterr().err
+    assert _snapshot(str(tmp_path)) == before
+
+
+def test_config_initial_at_the_origin_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "system": DING_SYSTEM, "experiment": "classify",
+        "numeric": {"N": 3, "grids": {"initial": [0, 0, 0]}}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "config.numeric.grids.initial" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux")
+def test_normalform_check_peak_memory_is_bounded(tmp_path):
+    # at h = 1e10 the potential generator takes all 2^20 panels; evaluated
+    # one block at a time the command peaks near 66 MB, in one pass ~690 MB
+    script = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'duffinglab', "
+        "'normalform-check', '--scenario', 'ding', '--h', '1e10', "
+        "'--out', sys.argv[1]], check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=120, check=True)
+    peak_mb = int(proc.stdout) / 1024.0
+    assert peak_mb < 150.0

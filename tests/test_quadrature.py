@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from duffinglab import quadrature
 from duffinglab.errors import PrecisionFailureError
 from duffinglab.quadrature import (
     CumulativeIntegral,
@@ -83,3 +84,31 @@ def test_cumulative_integral_full_turn_and_beyond():
     assert F(-0.3) == pytest.approx(-(0.15 - 0.25 * math.sin(-0.6)), rel=1e-10)
     assert F(0.0) == 0.0
 
+
+def test_cumulative_integral_blocks_match_one_pass(monkeypatch):
+    # 1000 panels in blocks of 64 end in a partial block of 40
+    block = 64
+    monkeypatch.setattr(quadrature, "_PANEL_BLOCK", block)
+    sizes = []
+
+    def f(u):
+        sizes.append(u.size)
+        return np.exp(np.cos(u)) * u
+
+    n = 1000
+    F = CumulativeIntegral(f, n)
+    assert max(sizes) <= block * 16
+    assert sum(sizes) == n * 16
+    # the one-pass formula over every panel at once
+    width = TWO_PI / n
+    half = 0.5 * width
+    centers = (np.arange(n + 1) * width)[:-1] + half
+    x = centers[:, None] + half * quadrature._GL_NODES[None, :]
+    vals = (np.exp(np.cos(x.ravel())) * x.ravel()).reshape(n, 16)
+    prefix = np.concatenate(([0.0], np.cumsum(half * vals @ quadrature._GL_WEIGHTS)))
+    assert np.array_equal(F.prefix, prefix)
+    monkeypatch.undo()  # n is below the default block: one pass
+    one_pass = CumulativeIntegral(lambda u: np.exp(np.cos(u)) * u, n)
+    assert np.array_equal(one_pass.prefix, prefix)
+    for theta in (0.37, 3.0 * width, 5.5, TWO_PI, TWO_PI + 0.25, -0.4):
+        assert F(theta) == one_pass(theta)
