@@ -145,6 +145,7 @@ def beta_profile(system, h_grid):
 class CriticalDEstimate:
     fit: DecayFit
     implied_d: float
+    profile: tuple  # the (h, beta) pairs the fit was made on
 
     def to_json_dict(self) -> dict:
         return {
@@ -174,7 +175,8 @@ def critical_d_estimate(system, h_min=1e4, h_max=1e9, points=12) -> CriticalDEst
             h_min=h_min, h_max=h_max,
         )
     fit = loglog_fit(grid, values)
-    return CriticalDEstimate(fit=fit, implied_d=1.0 - 2.0 * fit.slope)
+    return CriticalDEstimate(fit=fit, implied_d=1.0 - 2.0 * fit.slope,
+                             profile=tuple(profile))
 
 
 def classify_theorem(system, d_fit=None) -> Predicted:

@@ -264,8 +264,10 @@ def evaluate(spec: FunctionSpec, x):
 # structural calculus
 # ---------------------------------------------------------------------------
 
-def antiderivative(spec: FunctionSpec) -> FunctionSpec:
-    """Antiderivative F with F(0) = 0, closed over the grammar.
+def antiderivative(spec: FunctionSpec, path: str = "g") -> FunctionSpec:
+    """Antiderivative F with F(0) = 0 of a restoring force, closed over the
+    grammar.  This is also the admissibility check on g: a rejection names
+    the node by its config path, rooted at ``path``.
 
     AlgebraicTail with e = 1 has a logarithmic antiderivative not expressible
     with a finite limit structure here; it is rejected (use Rational1, which
@@ -279,61 +281,34 @@ def antiderivative(spec: FunctionSpec) -> FunctionSpec:
     if isinstance(spec, AlgebraicTail):
         if spec.e == 1.0:
             raise UnsupportedExponentError(
-                "algebraic tail with e = 1 integrates to a logarithm; "
+                f"{path}: algebraic tail with e = 1 integrates to a logarithm; "
                 "use rational1 instead", e=spec.e,
             )
         k = spec.c / (2.0 * (1.0 - spec.e))
         return Sum((PowerSquarePlusOne(k, 1.0 - spec.e), Constant(-k)))
     if isinstance(spec, Rational1):
         return LogSquarePlusOne(0.5 * spec.c)
-    if isinstance(spec, TrigPoly):
-        w = TWO_PI / spec.period
-        n_cos = len(spec.sin_coeffs)
-        n_sin = len(spec.cos_coeffs)
-        new_cos = [0.0] * n_cos
-        new_sin = [0.0] * n_sin
-        for m, a in enumerate(spec.cos_coeffs, start=1):
-            new_sin[m - 1] = a / (m * w)
-        shift = 0.0
-        for m, b in enumerate(spec.sin_coeffs, start=1):
-            new_cos[m - 1] = -b / (m * w)
-            shift += b / (m * w)
-        parts = [TrigPoly(spec.period, tuple(new_cos), tuple(new_sin), 0.0)]
-        if spec.constant != 0.0:
-            parts.append(Linear(spec.constant))
-        if shift != 0.0:
-            parts.append(Constant(shift))
-        return parts[0] if len(parts) == 1 else Sum(tuple(parts))
     if isinstance(spec, Sum):
-        return Sum(tuple(antiderivative(ch) for ch in spec.children))
+        return Sum(tuple(antiderivative(ch, f"{path}.terms[{i}]")
+                         for i, ch in enumerate(spec.children)))
     if isinstance(spec, Scaled):
-        return Scaled(spec.k, antiderivative(spec.child))
+        return Scaled(spec.k, antiderivative(spec.child, f"{path}.child"))
     raise InadmissibleFunctionError(
-        f"no antiderivative rule for {type(spec).__name__}"
+        f"{path}: {type(spec).__name__} is not admissible as a restoring force"
     )
 
 
-def derivative_periodic(spec: FunctionSpec) -> FunctionSpec:
-    """Derivative of a periodic (trig poly based) spec."""
-    if isinstance(spec, TrigPoly):
-        w = TWO_PI / spec.period
-        n = max(len(spec.cos_coeffs), len(spec.sin_coeffs))
-        new_cos = [0.0] * n
-        new_sin = [0.0] * n
-        for m, a in enumerate(spec.cos_coeffs, start=1):
-            new_sin[m - 1] -= a * m * w
-        for m, b in enumerate(spec.sin_coeffs, start=1):
-            new_cos[m - 1] += b * m * w
-        return TrigPoly(spec.period, tuple(new_cos), tuple(new_sin), 0.0)
-    if isinstance(spec, Constant):
-        return Constant(0.0)
-    if isinstance(spec, Sum):
-        return Sum(tuple(derivative_periodic(ch) for ch in spec.children))
-    if isinstance(spec, Scaled):
-        return Scaled(spec.k, derivative_periodic(spec.child))
-    raise InadmissibleFunctionError(
-        f"derivative only defined for periodic specs, got {type(spec).__name__}"
-    )
+def derivative_periodic(tp: TrigPoly) -> TrigPoly:
+    """Exact derivative of a trig poly; its constant drops out."""
+    w = TWO_PI / tp.period
+    n = max(len(tp.cos_coeffs), len(tp.sin_coeffs))
+    new_cos = [0.0] * n
+    new_sin = [0.0] * n
+    for m, a in enumerate(tp.cos_coeffs, start=1):
+        new_sin[m - 1] -= a * m * w
+    for m, b in enumerate(tp.sin_coeffs, start=1):
+        new_cos[m - 1] += b * m * w
+    return TrigPoly(tp.period, tuple(new_cos), tuple(new_sin), 0.0)
 
 
 def limits_at_infinity(spec: FunctionSpec) -> tuple:
@@ -366,51 +341,6 @@ def limit_gap(spec: FunctionSpec) -> float:
     return hi - lo
 
 
-def zero_mean_normalize(spec: FunctionSpec, period: float) -> FunctionSpec:
-    """Remove the mean over one period from a periodic spec.
-
-    The grammar's periodic shapes carry their mean entirely in constant
-    terms (harmonics integrate to zero), so normalization strips constants
-    structurally. Idempotent bit-for-bit.
-    """
-    stripped = _strip_constants(spec, period)
-    if stripped is None:
-        return TrigPoly(period)
-    return stripped
-
-
-def _strip_constants(spec, period):
-    if isinstance(spec, Constant):
-        return None
-    if isinstance(spec, TrigPoly):
-        if not math.isclose(spec.period, period, rel_tol=1e-12, abs_tol=0.0):
-            raise InadmissibleFunctionError(
-                "trig poly period does not match the declared period",
-                found=spec.period, declared=period,
-            )
-        if all(a == 0.0 for a in spec.cos_coeffs) and all(b == 0.0 for b in spec.sin_coeffs):
-            return None
-        if spec.constant == 0.0:
-            return spec
-        return TrigPoly(spec.period, spec.cos_coeffs, spec.sin_coeffs, 0.0)
-    if isinstance(spec, Sum):
-        kept = [s for s in (_strip_constants(ch, period) for ch in spec.children)
-                if s is not None]
-        if not kept:
-            return None
-        if len(kept) == 1:
-            return kept[0]
-        return Sum(tuple(kept))
-    if isinstance(spec, Scaled):
-        child = _strip_constants(spec.child, period)
-        if child is None or spec.k == 0.0:
-            return None
-        return Scaled(spec.k, child)
-    raise InadmissibleFunctionError(
-        f"{type(spec).__name__} is not periodic; cannot normalize"
-    )
-
-
 # ---------------------------------------------------------------------------
 # trig poly helpers
 # ---------------------------------------------------------------------------
@@ -420,21 +350,6 @@ def harmonic(tp: TrigPoly, m: int) -> tuple:
     a = tp.cos_coeffs[m - 1] if 1 <= m <= len(tp.cos_coeffs) else 0.0
     b = tp.sin_coeffs[m - 1] if 1 <= m <= len(tp.sin_coeffs) else 0.0
     return (a, b)
-
-
-def trig_shift(tp: TrigPoly, tau: float) -> TrigPoly:
-    """The trig poly representing x -> tp(x + tau)."""
-    w = TWO_PI / tp.period
-    n = max(len(tp.cos_coeffs), len(tp.sin_coeffs))
-    new_cos = [0.0] * n
-    new_sin = [0.0] * n
-    for m in range(1, n + 1):
-        a, b = harmonic(tp, m)
-        cw = math.cos(m * w * tau)
-        sw = math.sin(m * w * tau)
-        new_cos[m - 1] = a * cw + b * sw
-        new_sin[m - 1] = b * cw - a * sw
-    return TrigPoly(tp.period, tuple(new_cos), tuple(new_sin), tp.constant)
 
 
 def split_even_linear(spec: FunctionSpec) -> tuple:
@@ -512,6 +427,14 @@ def _is_finite_number(v) -> bool:
         return False
 
 
+def _checked(path, shape, *args):
+    """shape(*args), naming path when the shape's own check refuses them."""
+    try:
+        return shape(*args)
+    except SpecValidationError as exc:
+        raise SpecValidationError(f"{path}: {exc}", **exc.details) from None
+
+
 def spec_from_config(obj, path: str = "spec") -> FunctionSpec:
     if not isinstance(obj, dict):
         raise SpecValidationError(f"{path}: expected an object, got {type(obj).__name__}")
@@ -523,8 +446,8 @@ def spec_from_config(obj, path: str = "spec") -> FunctionSpec:
     if kind == "arctan":
         return Arctan(_require_number(obj, "scale", path))
     if kind == "algebraic_tail":
-        return AlgebraicTail(_require_number(obj, "c", path),
-                             _require_number(obj, "e", path))
+        return _checked(path, AlgebraicTail, _require_number(obj, "c", path),
+                        _require_number(obj, "e", path))
     if kind == "trig_poly":
         period = _require_number(obj, "period", path)
         cos = obj.get("cos", [])
@@ -534,8 +457,7 @@ def spec_from_config(obj, path: str = "spec") -> FunctionSpec:
                 raise SpecValidationError(
                     f"{path}.{name}: expected a list of finite numbers")
         constant = _require_number(obj, "constant", path) if "constant" in obj else 0.0
-        return TrigPoly(period, tuple(float(v) for v in cos),
-                        tuple(float(v) for v in sin), constant)
+        return _checked(path, TrigPoly, period, cos, sin, constant)
     if kind == "rational1":
         return Rational1(_require_number(obj, "c", path))
     if kind == "sum":
@@ -554,57 +476,53 @@ def spec_from_config(obj, path: str = "spec") -> FunctionSpec:
 # admissibility and the assembled system
 # ---------------------------------------------------------------------------
 
-def validate_restoring(spec: FunctionSpec, path: str = "g") -> None:
-    """g must be bounded with finite limits at infinity (grammar shapes only)."""
-    if isinstance(spec, (Constant, Arctan, AlgebraicTail, Rational1)):
-        return
-    if isinstance(spec, Sum):
-        for i, ch in enumerate(spec.children):
-            validate_restoring(ch, f"{path}[{i}]")
-        return
-    if isinstance(spec, Scaled):
-        validate_restoring(spec.child, f"{path}.child")
-        return
-    raise InadmissibleFunctionError(
-        f"{path}: {type(spec).__name__} is not admissible as a restoring force"
-    )
-
-
-def periodic_leaves(spec: FunctionSpec, scale: float = 1.0):
-    """Yield (scale, leaf) for the TrigPoly and Constant leaves of a periodic
-    spec, depth first; scale is the product of the enclosing Scaled factors."""
+def _periodic_leaves(spec: FunctionSpec, path: str, scale: float = 1.0):
+    """Yield (path, scale, leaf) for the TrigPoly and Constant leaves of a
+    periodic spec, depth first; scale is the product of the enclosing Scaled
+    factors."""
     if isinstance(spec, (TrigPoly, Constant)):
-        yield scale, spec
+        yield path, scale, spec
     elif isinstance(spec, Sum):
-        for ch in spec.children:
-            yield from periodic_leaves(ch, scale)
+        for i, ch in enumerate(spec.children):
+            yield from _periodic_leaves(ch, f"{path}.terms[{i}]", scale)
     elif isinstance(spec, Scaled):
-        yield from periodic_leaves(spec.child, scale * spec.k)
+        yield from _periodic_leaves(spec.child, f"{path}.child", scale * spec.k)
     else:
         raise InadmissibleFunctionError(
-            f"{type(spec).__name__} is not admissible as a periodic term"
+            f"{path}: {type(spec).__name__} is not admissible as a periodic term"
         )
 
 
-def periodic_period(spec: FunctionSpec, default: float = None) -> float:
-    """Common period of a periodic spec's trig polys (required to agree).
+def _zero_mean_poly(spec: FunctionSpec, path: str) -> TrigPoly:
+    """A periodic spec summed into one TrigPoly with constant 0.0.
 
-    A spec with no trig poly (pure constant) has any period; ``default``
-    is used when given, otherwise that is an error.
+    Each leaf's harmonics enter times the product of its enclosing Scaled
+    factors, depth first; the constants, which carry the whole mean, are
+    dropped.  The first leaf to reach a harmonic sets it, so a spec that is
+    already one TrigPoly keeps its coefficient tuples bit for bit, trailing
+    zeros and -0.0 included.  All-zero harmonics give TrigPoly(period).
     """
-    periods = [leaf.period for _, leaf in periodic_leaves(spec)
-               if isinstance(leaf, TrigPoly)]
-    if not periods:
-        if default is not None:
-            return default
-        raise InadmissibleFunctionError("no trig poly inside periodic spec")
-    first = periods[0]
-    for p in periods[1:]:
-        if not math.isclose(p, first, rel_tol=1e-12, abs_tol=0.0):
+    period = None
+    sums = ([], [])  # cos, sin
+    for where, scale, leaf in _periodic_leaves(spec, path):
+        if isinstance(leaf, Constant):
+            continue
+        if period is None:
+            period = leaf.period
+        elif not math.isclose(leaf.period, period, rel_tol=1e-12, abs_tol=0.0):
             raise InadmissibleFunctionError(
-                "mixed periods inside one periodic term", periods=periods
+                f"{where}.period: mixed periods inside one periodic term",
+                found=leaf.period, first=period,
             )
-    return first
+        for acc, coeffs in zip(sums, (leaf.cos_coeffs, leaf.sin_coeffs)):
+            for i, c in enumerate(coeffs):
+                if i < len(acc):
+                    acc[i] += scale * c
+                else:
+                    acc.append(scale * c)
+    if not any(sums[0] + sums[1]):
+        return TrigPoly(TWO_PI if period is None else period)
+    return TrigPoly(period, tuple(sums[0]), tuple(sums[1]))
 
 
 @dataclass(frozen=True)
@@ -612,16 +530,16 @@ class DuffingSystem:
     """x'' + n^2 x + g(x) + psi'(x) = p(t), with derived pieces cached.
 
     potential is the antiderivative of g with value 0 at x = 0;
-    psi is stored zero-mean; psi_prime is its exact derivative.
+    psi is stored as one zero-mean TrigPoly; psi_prime is its exact
+    derivative.
     """
 
     n: int
     g: FunctionSpec
-    psi: FunctionSpec
+    psi: TrigPoly
     p: TrigPoly
     potential: FunctionSpec
-    psi_prime: FunctionSpec
-    psi_period: float
+    psi_prime: TrigPoly
 
     def system_id(self) -> str:
         blob = json.dumps(system_to_config(self), sort_keys=True)
@@ -633,29 +551,31 @@ class DuffingSystem:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def make_system(n: int, g: FunctionSpec, psi=None, p: TrigPoly = None) -> DuffingSystem:
+def make_system(n: int, g: FunctionSpec, psi=None, p: TrigPoly = None,
+                path: str = "system") -> DuffingSystem:
+    """Check and assemble a system; a rejection names the config path of
+    the piece at fault, rooted at ``path``.
+
+    psi may be a TrigPoly or a sum, scaled or constant tree of them; it is
+    summed into one zero-mean TrigPoly here, once.
+    """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise SpecValidationError(f"n must be a positive integer, got {n!r}")
-    validate_restoring(g)
     if p is None:
         p = TrigPoly(TWO_PI)
     if not isinstance(p, TrigPoly):
-        raise InadmissibleFunctionError("forcing must be a single trig poly")
+        raise InadmissibleFunctionError(f"{path}.p: forcing must be a single trig poly")
     if not math.isclose(p.period, TWO_PI, rel_tol=1e-12, abs_tol=0.0):
         raise InadmissibleFunctionError(
-            "forcing period must be 2*pi", period=p.period
+            f"{path}.p.period: forcing period must be 2*pi", period=p.period
         )
     if p.constant != 0.0:
-        raise InadmissibleFunctionError("forcing must have zero mean")
-    if psi is None:
-        psi = TrigPoly(TWO_PI)
-    psi_period = periodic_period(psi, default=TWO_PI)
-    psi = zero_mean_normalize(psi, psi_period)
+        raise InadmissibleFunctionError(f"{path}.p.constant: forcing must have zero mean")
+    psi = _zero_mean_poly(TrigPoly(TWO_PI) if psi is None else psi, f"{path}.psi")
     return DuffingSystem(
         n=int(n), g=g, psi=psi, p=p,
-        potential=antiderivative(g),
+        potential=antiderivative(g, f"{path}.g"),
         psi_prime=derivative_periodic(psi),
-        psi_period=psi_period,
     )
 
 
@@ -687,6 +607,4 @@ def system_from_config(obj, path: str = "system") -> DuffingSystem:
     p = None
     if obj.get("p") is not None:
         p = spec_from_config(obj["p"], f"{path}.p")
-        if not isinstance(p, TrigPoly):
-            raise InadmissibleFunctionError(f"{path}.p: forcing must be a trig poly")
-    return make_system(n, g, psi, p)
+    return make_system(n, g, psi, p, path)

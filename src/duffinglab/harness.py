@@ -365,9 +365,7 @@ def _run_conditions(cfg: ExperimentConfig):
         payload = est.to_json_dict()
         payload["predicted_with_d"] = cond.classify_theorem(cfg.system, est).value
         artifacts.append(("dfit.json", payload))
-        profile = cond.beta_profile(cfg.system, geometric_grid(lo, hi, points))
-        artifacts.append(
-            ("beta.csv", ("h", "beta"), [(h, b) for h, b in profile]))
+        artifacts.append(("beta.csv", ("h", "beta"), est.profile))
     return artifacts
 
 

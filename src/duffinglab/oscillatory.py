@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import AmplitudeTooLargeError, HTooSmallError, SpecValidationError
 from .fitting import DecayFit, envelope_fit, envelope_points, geometric_grid
-from .functions import Constant, harmonic, periodic_leaves
 from .quadrature import _pow2_at_least, even_circle_mean, periodic_mean
 
 TWO_PI = 2.0 * math.pi
@@ -73,24 +72,6 @@ def circle_mean(a: float, parity: str, n: int = 1) -> float:
 # averaged spatially-periodic term
 # ---------------------------------------------------------------------------
 
-def _psi_harmonics(psi):
-    """(constant, {m: (cos, sin)}) of a periodic spec, summed over its leaves."""
-    constant = 0.0
-    harmonics: dict = {}
-    for scale, leaf in periodic_leaves(psi):
-        if isinstance(leaf, Constant):
-            constant += scale * leaf.c
-            continue
-        constant += scale * leaf.constant
-        for m in range(1, max(len(leaf.cos_coeffs), len(leaf.sin_coeffs)) + 1):
-            c, s = harmonic(leaf, m)
-            if c == 0.0 and s == 0.0:
-                continue
-            oc, os = harmonics.get(m, (0.0, 0.0))
-            harmonics[m] = (oc + scale * c, os + scale * s)
-    return constant, harmonics
-
-
 def psi_average(system, h: float) -> float:
     """Mean of psi(sqrt(2h/n) cos(n theta)) / n over the circle.
 
@@ -104,11 +85,9 @@ def psi_average(system, h: float) -> float:
         raise HTooSmallError("averaged periodic term needs h >= 1", h=h)
     n = system.n
     amp = math.sqrt(2.0 * h / n)
-    w = TWO_PI / system.psi_period
-    constant, harmonics = _psi_harmonics(system.psi)
-    value = constant
-    for m in sorted(harmonics):
-        c, _ = harmonics[m]
+    w = TWO_PI / system.psi.period
+    value = 0.0
+    for m, c in enumerate(system.psi.cos_coeffs, start=1):
         if c != 0.0:
             value += c * circle_mean(m * w * amp, "cos", n)
     return value / n

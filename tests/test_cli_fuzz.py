@@ -226,6 +226,17 @@ def test_fuzzed_config_documents_exit_0_2_or_3(doc, monkeypatch):
     _check(["run", "--config", doc])
 
 
+ARCTAN = {"kind": "arctan", "scale": 1.0}
+
+
+def _trig(cos1, period=2.0 * math.pi):
+    return {"kind": "trig_poly", "period": period, "cos": [cos1], "sin": []}
+
+
+def _system(**pieces):
+    return {"n": 1, "g": ARCTAN, **pieces}
+
+
 @pytest.mark.parametrize("argv, named", [
     (["sweep", "--scenario", "ding", "--I0=-5"], "grids.I0"),
     (["normalform-check", "--scenario", "ding", "--h=-1"], "grids.h"),
@@ -253,6 +264,26 @@ def test_fuzzed_config_documents_exit_0_2_or_3(doc, monkeypatch):
      "system.n"),
     (["simulate", "--scenario", "ding", "--strobes", str(MAX_STROBES + 1)],
      "config.numeric.N"),
+    (["conditions", "--system", _system(g={"kind": "sum", "terms": [
+        ARCTAN, _trig(1.0)]})], "system.g.terms[1]:"),
+    (["conditions", "--system", _system(g={"kind": "scaled", "k": 2.0,
+                                          "child": _trig(1.0)})],
+     "system.g.child:"),
+    (["conditions", "--system", _system(psi={"kind": "sum", "terms": [
+        _trig(0.5), ARCTAN]})], "system.psi.terms[1]:"),
+    (["conditions", "--system", _system(psi={"kind": "sum", "terms": [
+        _trig(0.5), _trig(0.5, period=1.0)]})], "system.psi.terms[1].period:"),
+    (["conditions", "--system", _system(psi=_trig(0.5, period=-1.0))],
+     "system.psi:"),
+    (["conditions", "--system", _system(
+        g={"kind": "algebraic_tail", "c": 1.0, "e": 0.25})], "system.g:"),
+    (["conditions", "--system", _system(g={"kind": "sum", "terms": [
+        ARCTAN, {"kind": "algebraic_tail", "c": 1.0, "e": 1.0}]})],
+     "system.g.terms[1]:"),
+    (["conditions", "--system", _system(p=_trig(4.0, period=3.0))],
+     "system.p.period:"),
+    (["conditions", "--system", _system(p=dict(_trig(4.0), constant=1.0))],
+     "system.p.constant:"),
 ])
 def test_bad_input_exits_2_naming_its_path(argv, named, capsys, monkeypatch):
     _one_cpu(monkeypatch)

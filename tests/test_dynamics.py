@@ -23,7 +23,7 @@ from duffinglab.errors import (
     NotApplicableError,
     SpecValidationError,
 )
-from duffinglab.functions import Arctan, Constant, TrigPoly, make_system, trig_shift
+from duffinglab.functions import Arctan, Constant, TrigPoly, make_system
 from duffinglab.harness import scenario_system
 
 TWO_PI = 2.0 * math.pi
@@ -93,8 +93,9 @@ def test_reversibility_round_trip():
 def test_time_translation_equivariance():
     tol = 1.0e-10
     tau = 1.3
-    p = TrigPoly(TWO_PI, (4.0,), ())
-    shifted = make_system(1, Arctan(), p=trig_shift(p, tau))
+    # DING's forcing 4 cos t, shifted by tau: 4 cos(t + tau)
+    shifted = make_system(1, Arctan(), p=TrigPoly(
+        TWO_PI, (4.0 * math.cos(tau),), (-4.0 * math.sin(tau),)))
     a = integrate(DING, PhaseState(x=5.0, y=2.0, t=tau), tau + 7.0, tol)
     b = integrate(shifted, PhaseState(x=5.0, y=2.0, t=0.0), 7.0, tol)
     assert _dist(a, b) <= 10.0 * tol

@@ -134,13 +134,8 @@ def test_rational1_antiderivative_is_log():
     assert fx.evaluate(G, 3.0) == pytest.approx(math.log(10.0), rel=1e-14)
 
 
-def test_trig_antiderivative_and_derivative():
+def test_trig_derivative():
     p = TrigPoly(TWO_PI, (1.0,), (2.0,), 0.5)
-    P = fx.antiderivative(p)
-    for t in (0.1, 1.3, 4.0):
-        step = 1e-6
-        diff = (fx.evaluate(P, t + step) - fx.evaluate(P, t - step)) / (2 * step)
-        assert diff == pytest.approx(fx.evaluate(p, t), rel=1e-8)
     dp = fx.derivative_periodic(p)
     for t in (0.1, 1.3, 4.0):
         expected = -math.sin(t) + 2.0 * math.cos(t)
@@ -177,27 +172,11 @@ def test_limits_reject_periodic():
 # periodic helpers
 # ---------------------------------------------------------------------------
 
-def test_zero_mean_normalize_strips_constants():
-    spec = Sum((Constant(2.0), TrigPoly(TWO_PI, (1.0,), (), constant=0.5)))
-    out = fx.zero_mean_normalize(spec, TWO_PI)
-    ts = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-    mean = float(np.mean(fx.evaluate(out, ts)))
-    assert abs(mean) < 1e-14
-
-
 def test_harmonic_extraction():
     p = TrigPoly(TWO_PI, (1.0, 0.0, 3.0), (0.5,))
     assert fx.harmonic(p, 1) == (1.0, 0.5)
     assert fx.harmonic(p, 3) == (3.0, 0.0)
     assert fx.harmonic(p, 7) == (0.0, 0.0)
-
-
-@given(trig_polys(), st.floats(min_value=-10.0, max_value=10.0),
-       st.floats(min_value=-10.0, max_value=10.0))
-def test_trig_shift_identity(p, tau, t):
-    shifted = fx.trig_shift(p, tau)
-    assert fx.evaluate(shifted, t) == pytest.approx(
-        fx.evaluate(p, t + tau), rel=1e-10, abs=1e-10)
 
 
 def test_split_even_linear():
@@ -214,10 +193,10 @@ def test_split_even_linear():
 
 def test_periodic_period_consistency():
     spec = Sum((TrigPoly(TWO_PI, (1.0,), ()), TrigPoly(TWO_PI, (), (2.0,))))
-    assert fx.periodic_period(spec) == TWO_PI
+    assert make_system(1, Arctan(), psi=spec).psi.period == TWO_PI
     mixed = Sum((TrigPoly(TWO_PI, (1.0,), ()), TrigPoly(1.0, (1.0,), ())))
-    with pytest.raises(InadmissibleFunctionError):
-        fx.periodic_period(mixed)
+    with pytest.raises(InadmissibleFunctionError, match=r"psi\.terms\[1\]\.period"):
+        make_system(1, Arctan(), psi=mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +246,35 @@ def test_make_system_normalizes_psi():
         diff = (fx.evaluate(s.psi, x + step)
                 - fx.evaluate(s.psi, x - step)) / (2 * step)
         assert fx.evaluate(s.psi_prime, x) == pytest.approx(diff, rel=1e-8)
+
+
+@given(trig_polys())
+def test_single_poly_psi_builds_unchanged(tp):
+    # the tuples pass through as given, trailing zeros and -0.0 included;
+    # only the constant goes, and all-zero harmonics leave TrigPoly(period)
+    if all(v == 0.0 for v in tp.cos_coeffs + tp.sin_coeffs):
+        want = TrigPoly(tp.period)
+    else:
+        want = TrigPoly(tp.period, tp.cos_coeffs, tp.sin_coeffs, 0.0)
+    s = make_system(1, Arctan(), psi=tp)
+    assert repr(s.psi) == repr(want)
+
+
+def test_composite_psi_is_summed_into_one_poly():
+    tree = Sum((Constant(3.0),
+                Scaled(2.0, TrigPoly(TWO_PI, (0.5, 0.25), (1.0,), constant=1.0)),
+                TrigPoly(TWO_PI, (0.1,), (0.0, -0.3))))
+    s = make_system(1, Arctan(), psi=tree)
+    assert isinstance(s.psi, TrigPoly) and s.psi.constant == 0.0
+    xs = np.linspace(-10.0, 10.0, 401)
+    mean = 3.0 + 2.0 * 1.0  # the tree's constants
+    npt.assert_allclose(fx.evaluate(s.psi, xs), fx.evaluate(tree, xs) - mean,
+                        rtol=0.0, atol=1e-14)
+    echo = json.loads(json.dumps(fx.system_to_config(s), sort_keys=True))
+    assert echo["psi"]["kind"] == "trig_poly"
+    again = fx.system_from_config(echo)
+    assert again == s
+    assert again.system_id() == s.system_id()
 
 
 def test_system_config_round_trip_and_id():

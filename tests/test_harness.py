@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from duffinglab import cli
+from duffinglab import conditions as cond
 from duffinglab.errors import NumericFailureError, SpecValidationError
 from duffinglab.functions import system_to_config
 from duffinglab.harness import (
@@ -211,6 +212,26 @@ def test_run_formats_filter(tmp_path):
     names = sorted(os.path.basename(p) for p in written)
     # the config echo is part of the determinism contract, never filtered
     assert names == ["config.json", "orbit.csv"]
+
+
+def test_conditions_computes_the_beta_profile_once(tmp_path, monkeypatch):
+    calls = []
+    profile = cond.beta_profile
+
+    def counted(system, h_grid):
+        calls.append(len(h_grid))
+        return profile(system, h_grid)
+
+    monkeypatch.setattr(cond, "beta_profile", counted)
+    run(parse_config({
+        "system": system_to_config(cond.beta_calibration_family(0.5)),
+        "experiment": "conditions",
+        "numeric": {"grids": {"beta_window": [1.0e4, 1.0e8, 9]}},
+        "output": {"dir": str(tmp_path)},
+    }))
+    assert calls == [9]
+    rows = _read(str(tmp_path / "beta.csv")).decode().split("\r\n")
+    assert rows[0] == "h,beta" and len([r for r in rows[1:] if r]) == 9
 
 
 def test_run_missing_grid_is_validation_error(tmp_path):
