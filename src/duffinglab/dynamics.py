@@ -4,18 +4,23 @@ The equation is integrated in the symmetric first-order form x' = n y,
 y' = -n x - (g(x) + psi'(x) - p(t)) / n with an adaptive Dormand-Prince
 5(4) pair.  Each system gets one generated kernel, the step loop with its
 RHS inlined, compiled on the system's first integration and kept on the
-system object.  The strobe map advances time by exactly one forcing
-period 2*pi.  On top of the strobe iterates sit the unwrapped
-rotation angle, the twist-scaling diagnostic, and the bounded/escaping
-orbit classification.  The independent orbits of a sweep or an escape
-scan are spread over one forked child process per usable CPU.
+system object.  When psi' = 0 the kernel integrates instead in the frame
+that turns with the free oscillator, where only the slow drift of g and
+p is left to the steps; it returns the lab-frame state all the same.
+Both kernels come from one template.  The strobe map advances time by
+exactly one forcing period 2*pi.  On top of the strobe iterates sit the
+unwrapped rotation angle, the twist-scaling diagnostic, and the
+bounded/escaping orbit classification.  The independent orbits of a
+sweep or an escape scan are spread over one forked child process per
+usable CPU.
 """
 from __future__ import annotations
 
 import math
 import os
 import pickle
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -69,12 +74,13 @@ _TABLEAU = dict(
     MAX_STEPS=MAX_STEPS, MIN_STEP=MIN_STEP,
 )
 
-# Adaptive 5(4) integration of the pair (x, y) from t0 to t1.  Error per
-# step is measured in the mixed absolute/relative norm with both
-# tolerances equal to tol; the step controller is the standard
-# proportional-integral rule with growth held back right after a
-# rejection.  Every RHS evaluation binds (ts, xs, ys) and inlines
-# x' = {FX}, y' = {FY}.  Returns (x, y, accepted, rejected, worst error).
+# Adaptive 5(4) integration of a pair (x, y) from t0 to t1.  Error per
+# step is measured against the scales scx, scy in the mixed
+# absolute/relative norm with both tolerances equal to tol; the step
+# controller is the standard proportional-integral rule with growth held
+# back right after a rejection.  Every RHS evaluation binds (ts, xs, ys).
+# A line "@hook arg ..." stands for the lines a _Frame's hook gives.
+# Returns (x, y, accepted, rejected, worst error).
 _KERNEL_TEMPLATE = """
 def kernel(t0, x0, y0, t1, tol):
     span = abs(t1 - t0)
@@ -83,12 +89,10 @@ def kernel(t0, x0, y0, t1, tol):
     direction = 1.0 if t1 > t0 else -1.0
     t, x, y = t0, x0, y0
     ts, xs, ys = t, x, y
-    fx = {FX}
-    fy = {FY}
+    @rhs fx fy
 
     # initial step size
-    scx = tol + tol * abs(x0)
-    scy = tol + tol * abs(y0)
+    @scale x0 y0
     d0 = sqrt(0.5 * ((x0 / scx) ** 2 + (y0 / scy) ** 2))
     d1 = sqrt(0.5 * ((fx / scx) ** 2 + (fy / scy) ** 2))
     h0 = 1.0e-6 if (d0 < 1.0e-5 or d1 < 1.0e-5) else 0.01 * d0 / d1
@@ -96,8 +100,7 @@ def kernel(t0, x0, y0, t1, tol):
     ts = t0 + direction * h0
     xs = x0 + direction * h0 * fx
     ys = y0 + direction * h0 * fy
-    k2x = {FX}
-    k2y = {FY}
+    @rhs k2x k2y
     d2 = sqrt(0.5 * (((k2x - fx) / scx) ** 2 + ((k2y - fy) / scy) ** 2)) / h0
     if max(d1, d2) <= 1.0e-15:
         h1 = max(1.0e-6, h0 * 1.0e-3)
@@ -122,44 +125,37 @@ def kernel(t0, x0, y0, t1, tol):
         ts = t + {C2} * h
         xs = x + h * {A21} * fx
         ys = y + h * {A21} * fy
-        k2x = {FX}
-        k2y = {FY}
+        @rhs k2x k2y
         ts = t + {C3} * h
         xs = x + h * ({A31} * fx + {A32} * k2x)
         ys = y + h * ({A31} * fy + {A32} * k2y)
-        k3x = {FX}
-        k3y = {FY}
+        @rhs k3x k3y
         ts = t + {C4} * h
         xs = x + h * ({A41} * fx + {A42} * k2x + {A43} * k3x)
         ys = y + h * ({A41} * fy + {A42} * k2y + {A43} * k3y)
-        k4x = {FX}
-        k4y = {FY}
+        @rhs k4x k4y
         ts = t + {C5} * h
         xs = x + h * ({A51} * fx + {A52} * k2x + {A53} * k3x + {A54} * k4x)
         ys = y + h * ({A51} * fy + {A52} * k2y + {A53} * k3y + {A54} * k4y)
-        k5x = {FX}
-        k5y = {FY}
+        @rhs k5x k5y
         ts = t + h
         xs = x + h * ({A61} * fx + {A62} * k2x + {A63} * k3x
                       + {A64} * k4x + {A65} * k5x)
         ys = y + h * ({A61} * fy + {A62} * k2y + {A63} * k3y
                       + {A64} * k4y + {A65} * k5y)
-        k6x = {FX}
-        k6y = {FY}
+        @rhs k6x k6y
         xn = x + h * ({A71} * fx + {A73} * k3x + {A74} * k4x
                       + {A75} * k5x + {A76} * k6x)
         yn = y + h * ({A71} * fy + {A73} * k3y + {A74} * k4y
                       + {A75} * k5y + {A76} * k6y)
         xs, ys = xn, yn
-        k7x = {FX}
-        k7y = {FY}
+        @rhs k7x k7y
 
         ex = h * ({E1} * fx + {E3} * k3x + {E4} * k4x
                   + {E5} * k5x + {E6} * k6x + {E7} * k7x)
         ey = h * ({E1} * fy + {E3} * k3y + {E4} * k4y
                   + {E5} * k5y + {E6} * k6y + {E7} * k7y)
-        scx = tol + tol * max(abs(x), abs(xn))
-        scy = tol + tol * max(abs(y), abs(yn))
+        @scale x y xn yn
         err = sqrt(0.5 * ((ex / scx) ** 2 + (ey / scy) ** 2))
 
         fac11 = err ** {EXPO}
@@ -181,7 +177,7 @@ def kernel(t0, x0, y0, t1, tol):
             h = h / min(5.0, fac11 / {SAFE})
             n_reject += 1
             rejected_last = True
-    return x, y, n_accept, n_reject, worst
+    @return
 """
 
 
@@ -200,31 +196,127 @@ def _merge_stats(a: IntegratorStats, b: IntegratorStats) -> IntegratorStats:
     )
 
 
-def _build_kernel(system) -> Callable:
-    """Generate and compile the DOPRI5 kernel of one system.
+def _largest(terms: list) -> str:
+    return terms[0] if len(terms) == 1 else f"max({', '.join(terms)})"
 
-    The RHS x' = n y, y' = -n x - (g(x) + psi'(x) - p(t)) / n is inlined
-    at every stage from scalar_source, with n, 1/n and the tableau as
-    literals.
+
+class _Frame(NamedTuple):
+    """The hooks that make _KERNEL_TEMPLATE one system's kernel.
+
+    rhs(kx, ky) gives the lines that set kx, ky to the derivative at
+    (ts, xs, ys); scale(x, y, ...) the lines that set the error scales
+    scx, scy from the states named; ret() the lines that return the
+    lab-frame (x, y) at t1 and the counts.  The kernel runs at the
+    caller's tol times tol_scale, clamped at TOL_MIN.
     """
+
+    rhs: Callable
+    scale: Callable
+    ret: Callable
+    tol_scale: float
+
+
+def _lab_frame(system) -> _Frame:
+    """x' = n y, y' = -n x - (g(x) + psi'(x) - p(t)) / n, with n, 1/n and
+    each function's scalar_source inlined, and an error scale per
+    component."""
     n = float(system.n)
     force = (f"{scalar_source(system.g, 'xs')} + "
              f"{scalar_source(system.psi_prime, 'xs')} - "
              f"{scalar_source(system.p, 'ts')}")
-    source = _KERNEL_TEMPLATE.format(
-        FX=times_source(n, "ys"),
-        FY=f"{literal(-n)} * xs - {times_source(1.0 / n, f'({force})')}",
-        **{name: literal(v) for name, v in _TABLEAU.items()},
+    fx = times_source(n, "ys")
+    fy = f"{literal(-n)} * xs - {times_source(1.0 / n, f'({force})')}"
+
+    def scale(*names):
+        return [f"sc{axis} = tol + tol * "
+                f"{_largest([f'abs({v})' for v in names[i::2]])}"
+                for i, axis in enumerate("xy")]
+
+    return _Frame(
+        rhs=lambda kx, ky: [f"{kx} = {fx}", f"{ky} = {fy}"],
+        scale=scale,
+        ret=lambda: ["return x, y, n_accept, n_reject, worst"],
+        tol_scale=1.0,
     )
-    namespace = dict(SCALAR_NAMESPACE, sqrt=math.sqrt,
+
+
+# The rotating kernel runs at this fraction of the caller's tol: at equal
+# tol its strobe errors reach about 20x the lab kernel's on some systems,
+# and at 0.3 the worst of them stays within 3x (tests/test_dynamics.py
+# test_rotating_kernel_accuracy) while it still takes about a third fewer
+# steps on the critical pair.
+_ROTATING_TOL_SCALE = 0.3
+
+
+def _rotating_frame(system) -> _Frame:
+    """The frame that turns with the free oscillator, for psi' = 0.
+
+    With tau = t - t0, the state is u = (a, b), x = a cos n tau + b sin n
+    tau and y = -a sin n tau + b cos n tau, so
+    u' = (sin n tau, -cos n tau) (g(x) - p(t)) / n.  The fast rotation is
+    exact and the steps follow only the drift of u.  The error scale
+    tol + tol * |u| is the same on both components, so it does not turn
+    with the frame.
+    """
+    n = float(system.n)
+    force = f"{scalar_source(system.g, 'xl')} - {scalar_source(system.p, 'ts')}"
+
+    def turn(t):
+        angle = times_source(n, f"({t} - t0)")
+        return [f"cn = cos({angle})", f"sn = sin({angle})"]
+
+    def rhs(kx, ky):
+        return turn("ts") + [
+            "xl = xs * cn + ys * sn",
+            f"force = {times_source(1.0 / n, f'({force})')}",
+            f"{kx} = sn * force",
+            f"{ky} = -cn * force",
+        ]
+
+    def scale(*names):
+        sizes = [f"hypot({x}, {y})" for x, y in zip(names[::2], names[1::2])]
+        return [f"scx = scy = tol + tol * {_largest(sizes)}"]
+
+    return _Frame(
+        rhs=rhs,
+        scale=scale,
+        ret=lambda: turn("t1") + [
+            "return x * cn + y * sn, y * cn - x * sn, n_accept, n_reject, worst"],
+        tol_scale=_ROTATING_TOL_SCALE,
+    )
+
+
+# a hook line of _KERNEL_TEMPLATE: indent, "@", hook name, its arguments
+_HOOK_LINE = re.compile(r"^( *)@(\w+)(.*)$", re.MULTILINE)
+
+
+def _compile_kernel(frame: _Frame) -> Callable:
+    """_KERNEL_TEMPLATE with the tableau as literals and each hook line
+    replaced by the frame's lines, compiled."""
+    hooks = {"rhs": frame.rhs, "scale": frame.scale, "return": frame.ret}
+    source = _HOOK_LINE.sub(
+        lambda m: "\n".join(m[1] + line for line in hooks[m[2]](*m[3].split())),
+        _KERNEL_TEMPLATE.format(
+            **{name: literal(v) for name, v in _TABLEAU.items()}))
+    namespace = dict(SCALAR_NAMESPACE, sqrt=math.sqrt, hypot=math.hypot,
                      SolverFailureError=SolverFailureError,
                      StiffnessFailureError=StiffnessFailureError)
     exec(compile(source, "<dopri5 kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 
-def _kernel(system) -> Callable:
-    """The system's kernel, built on its first integration and kept on it."""
+def _build_kernel(system) -> tuple:
+    """(kernel, tol scale) of one system: the rotating frame when psi' has
+    no nonzero coefficient, the lab frame otherwise."""
+    psi_prime = system.psi_prime
+    rotating = not any(psi_prime.cos_coeffs + psi_prime.sin_coeffs)
+    frame = (_rotating_frame if rotating else _lab_frame)(system)
+    return _compile_kernel(frame), frame.tol_scale
+
+
+def _kernel(system) -> tuple:
+    """The system's (kernel, tol scale), built on its first integration
+    and kept on it."""
     cache = vars(system)
     kernel = cache.get("_dopri5_kernel")
     if kernel is None:
@@ -248,9 +340,11 @@ def _check_N(N) -> None:
 
 def integrate_with_stats(system, s0: PhaseState, t1: float, tol: float):
     tol = _check_tol(tol)
+    kernel, tol_scale = _kernel(system)
+    tol = max(tol * tol_scale, TOL_MIN)  # the tol the kernel runs at
     t0, t1 = float(s0.t), float(t1)
     try:
-        x, y, steps, rejected, worst = _kernel(system)(
+        x, y, steps, rejected, worst = kernel(
             t0, float(s0.x), float(s0.y), t1, tol)
     except ArithmeticError as exc:
         # float ** overflows and x / 0.0 raise instead of giving inf or nan
@@ -473,6 +567,8 @@ class ClassificationVerdict:
     growth_fit: Optional[DecayFit]
     horizon_strobes: int
     error: Optional[str] = None
+    # the integrator work of the orbit of a scan slot; not in the JSON
+    stats: Optional[IntegratorStats] = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -544,15 +640,17 @@ def sweep(system, initial_grid, N: int, tol: float):
 
 
 def _orbit_slot(system, s0: PhaseState, N: int, tol: float) -> tuple:
-    """(verdict, tail fit) of one orbit of a scan.
+    """(verdict, tail fit) of one orbit of a scan; the verdict carries the
+    orbit's IntegratorStats.
 
     A failure fills the slot with an Undecided verdict that carries the
-    error message and NaN actions, and no fit, so it never aborts the rest
-    of the scan.
+    error message, NaN actions and no stats, and no fit, so it never
+    aborts the rest of the scan.
     """
     try:
         rec = orbit(system, s0, N, tol)
-        return classify_orbit(rec), _tail_fit(rec)
+        verdict = replace(classify_orbit(rec), stats=rec.integrator_stats)
+        return verdict, _tail_fit(rec)
     except DuffingLabError as exc:
         return ClassificationVerdict(
             verdict=VERDICT_UNDECIDED, max_I=math.nan, min_I=math.nan,

@@ -450,6 +450,11 @@ def _run_classify(cfg: ExperimentConfig):
     ]
 
 
+def _work(v) -> tuple:
+    """(steps, rejected) of a scan slot's orbit; empty for a failed one."""
+    return (None, None) if v.stats is None else (v.stats.steps, v.stats.rejected)
+
+
 def _run_sweep(cfg: ExperimentConfig):
     I0_grid = cfg.numeric.grids["I0"]
     t0 = cfg.numeric.grids["t0"]
@@ -462,12 +467,12 @@ def _run_sweep(cfg: ExperimentConfig):
         rows.append((
             I0, v.verdict, v.max_I, v.min_I,
             None if v.growth_fit is None else v.growth_fit.slope,
-            v.horizon_strobes, v.error,
+            v.horizon_strobes, v.error, *_work(v),
         ))
     return [
         ("sweep.csv",
          ("I0", "verdict", "max_I", "min_I", "growth_slope",
-          "horizon_strobes", "error"), rows),
+          "horizon_strobes", "error", "steps", "rejected"), rows),
         ("sweep.json", {"counts": counts, "n_orbits": len(rows)}),
     ]
 
@@ -479,13 +484,14 @@ def _run_escape_scan(cfg: ExperimentConfig):
         cfg.numeric.tol)
     rows = [
         (k, TWO_PI * k / phases, v.verdict, v.max_I, v.min_I,
-         None if v.growth_fit is None else v.growth_fit.slope, v.error)
+         None if v.growth_fit is None else v.growth_fit.slope, v.error,
+         *_work(v))
         for k, v in enumerate(scan.verdicts)
     ]
     return [
         ("escape_scan.csv",
          ("phase_index", "t0", "verdict", "max_I", "min_I",
-          "growth_slope", "error"), rows),
+          "growth_slope", "error", "steps", "rejected"), rows),
         ("escape_scan.json", scan.to_json_dict()),
     ]
 

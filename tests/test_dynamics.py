@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from duffinglab import dynamics
 from duffinglab.actionangle import PhaseState
 from duffinglab.dynamics import (
     IntegratorStats,
@@ -110,6 +111,42 @@ def test_error_scales_with_tol():
         coarse = _dist(strobe_map(system, s0, 1.0e-6), ref)
         fine = _dist(strobe_map(system, s0, 1.0e-8), ref)
         assert coarse >= 4.0 * fine
+
+
+def _strobes(kernel, x, y, t, tol):
+    out = []
+    for _ in range(20):
+        x, y = kernel(t, x, y, t + TWO_PI, tol)[:2]
+        t += TWO_PI
+        out.append((x, y))
+    return out
+
+
+def test_rotating_kernel_accuracy():
+    # psi' = 0 systems run in the rotating frame at a scaled tol; at each
+    # tol the worst relative strobe error over the grid must stay within
+    # 3x that of the lab kernel.  The reference is the lab kernel at 1e-14,
+    # which test_kernel.py holds bit for bit to the hand-written integrator.
+    scale = dynamics._ROTATING_TOL_SCALE
+    worst = {}  # (frame, tol) -> worst relative strobe error / tol
+    for system in (scenario_system("ding"), scenario_system("critical-pair-below"),
+                   scenario_system("critical-pair-above"), AUTO_ARCTAN):
+        lab = dynamics._compile_kernel(dynamics._lab_frame(system))
+        rotating = dynamics._compile_kernel(dynamics._rotating_frame(system))
+        for I0 in (1.0e2, 1.0e4, 1.0e6):
+            for t0 in (0.0, 0.7, 1.3, 2.2, 3.0, 4.5):
+                x0 = math.sqrt(2.0 * I0)
+                ref = _strobes(lab, x0, 0.0, t0, dynamics.TOL_MIN)
+                for tol in (1.0e-9, 1.0e-12):
+                    for frame, kernel, run_tol in (
+                            ("lab", lab, tol),
+                            ("rotating", rotating, max(tol * scale, dynamics.TOL_MIN))):
+                        got = _strobes(kernel, x0, 0.0, t0, run_tol)
+                        err = max(math.hypot(x - xr, y - yr) / math.hypot(xr, yr)
+                                  for (x, y), (xr, yr) in zip(got, ref)) / tol
+                        worst[frame, tol] = max(worst.get((frame, tol), 0.0), err)
+    for tol in (1.0e-9, 1.0e-12):
+        assert worst["rotating", tol] <= 3.0 * worst["lab", tol], worst
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ before they were generated from scalar_source: the ladder of the old
 evaluate, the closure compile_scalar, the RHS built from it and the
 hand-written Dormand-Prince loop.  Outcomes are compared through repr, so
 every float must match to the last bit (nan included) and every exception
-must carry the same type, message and details.
+must carry the same type, message and details.  The reference integrates
+in the lab frame, so the comparisons run every system, psi' = 0 included,
+on the lab-frame kernel; the rotating-frame kernel that psi' = 0 systems
+get is held to the lab kernel's accuracy in test_dynamics.py.
 """
 import math
 
@@ -20,6 +23,7 @@ from duffinglab import functions as fx
 from duffinglab.actionangle import PhaseState
 from duffinglab.errors import (
     ArithmeticFailureError,
+    NumericFailureError,
     SolverFailureError,
     StiffnessFailureError,
 )
@@ -90,15 +94,23 @@ def _reference(system, t0, x0, y0, t1, tol):
     return _outcome(lambda: ref._dopri5(ref._make_rhs(system), t0, x0, y0, t1, tol))
 
 
+def _lab_kernel(system):
+    return dynamics._compile_kernel(dynamics._lab_frame(system))
+
+
 def _kernel_level(system, t0, x0, y0, t1, tol):
     # the kernel alone, before integrate_with_stats maps float exceptions
     def call():
-        x, y, steps, rejected, worst = dynamics._kernel(system)(t0, x0, y0, t1, tol)
+        x, y, steps, rejected, worst = _lab_kernel(system)(t0, x0, y0, t1, tol)
         return x, y, dynamics.IntegratorStats(steps, rejected, worst * tol)
     return _outcome(call)
 
 
 def _generated(system, t0, x0, y0, t1, tol):
+    # integrate_with_stats on the lab kernel, kept on the system in place
+    # of the one its psi would pick
+    vars(system)["_dopri5_kernel"] = (_lab_kernel(system), 1.0)
+
     def call():
         state, stats = dynamics.integrate_with_stats(
             system, PhaseState(x=x0, y=y0, t=t0), t1, tol)
@@ -178,6 +190,54 @@ def test_stiffness_failure_matches_reference():
         got = _generated(*args)
         assert got == _reference(*args)
         assert StiffnessFailureError.__name__ in got
+
+
+def _rotating(system, x0, y0, t1):
+    # integrate_with_stats on the kernel psi' = 0 picks
+    assert not any(system.psi_prime.cos_coeffs + system.psi_prime.sin_coeffs)
+    return dynamics.integrate_with_stats(
+        system, PhaseState(x=x0, y=y0, t=0.0), t1, 1.0e-9)
+
+
+def test_rotating_kernel_stiffness_failure():
+    system = make_system(1, Sum((Arctan(), Rational1(1.0e20))),
+                         p=TrigPoly(TWO_PI, (2.0,), ()))
+    for t1 in (TWO_PI, -TWO_PI):
+        with pytest.raises(StiffnessFailureError):
+            _rotating(system, 10.0, 1.0, t1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rotating_kernel_non_finite_coefficients_fail_numerically(bad, small_budget):
+    # the rotating frame has no zero initial step to divide by: a non-finite
+    # force makes every step nan, so these runs end on the step budget
+    for system in (
+        make_system(1, Arctan(bad), p=TrigPoly(TWO_PI, (4.0,), ())),
+        make_system(1, Sum((Arctan(), Rational1(bad))),
+                    p=TrigPoly(TWO_PI, (2.0,), ())),
+        make_system(1, Arctan(), p=TrigPoly(TWO_PI, (bad,), ())),
+    ):
+        with pytest.raises(NumericFailureError):
+            _rotating(system, 10.0, 0.0, TWO_PI)
+
+
+def test_kernel_follows_psi():
+    # ll-bounded (psi' != 0) keeps the lab kernel, bit for bit the
+    # reference; ding (psi' = 0) runs the rotating kernel at the scaled
+    # tol, and its error estimate is stated in that tol
+    s0 = PhaseState(x=30.0, y=0.0, t=0.0)
+    lab = scenario_system("ll-bounded")
+    state, stats = dynamics.integrate_with_stats(lab, s0, TWO_PI, 1.0e-9)
+    assert repr((state.x, state.y, stats)) == _reference(
+        lab, 0.0, 30.0, 0.0, TWO_PI, 1.0e-9)
+    ding = scenario_system("ding")
+    rotating = dynamics._compile_kernel(dynamics._rotating_frame(ding))
+    for tol, run_tol in ((1.0e-9, 1.0e-9 * dynamics._ROTATING_TOL_SCALE),
+                         (1.0e-14, dynamics.TOL_MIN)):
+        x, y, steps, rejected, worst = rotating(0.0, 30.0, 0.0, TWO_PI, run_tol)
+        assert dynamics.integrate_with_stats(ding, s0, TWO_PI, tol) == (
+            PhaseState(x=x, y=y, t=TWO_PI),
+            dynamics.IntegratorStats(steps, rejected, worst * run_tol))
 
 
 def test_scenario_strobes_match_reference():
