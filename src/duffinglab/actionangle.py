@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,7 +57,7 @@ def averaged_potential(system, I, abs_tol=None) -> float:
 
 
 def _averaged_potential_info(system, I, abs_tol=None):
-    even_part, _linear = fx.split_even_linear(system.potential)
+    even_part = system.even_potential
     if even_part is None or I == 0.0:
         # potential is linear (mean zero) or the circle is a point at x=0
         return (0.0, 0)
@@ -76,8 +75,7 @@ def _averaged_potential_info(system, I, abs_tol=None):
 
 def averaged_potential_asymptote(system) -> float:
     """Limit of I^(-1/2) * averaged potential: (sqrt2/pi) n^(-3/2) (g(+inf)-g(-inf))."""
-    gap = fx.limit_gap(system.g)
-    return (math.sqrt(2.0) / math.pi) * system.n ** -1.5 * gap
+    return (math.sqrt(2.0) / math.pi) * system.n ** -1.5 * system.gap
 
 
 @dataclass(frozen=True)
@@ -96,8 +94,7 @@ def averaged_potential_slope_check(system, I_grid=None) -> SlopeCheck:
     averaged-potential asymptote. Systems with equal limits at infinity
     have no I^(1/2) growth to differentiate: degenerate.
     """
-    gap = fx.limit_gap(system.g)
-    if gap == 0.0:
+    if system.gap == 0.0:
         raise FitDegenerateError(
             "restoring force has equal limits; derivative scaling undefined"
         )
@@ -159,7 +156,6 @@ def _generator_panels(need: float, h: float) -> int:
     return _pow2_at_least(need)
 
 
-@lru_cache(maxsize=64)
 def _potential_shift_integral(system, h):
     """Integral from 0 to theta of (potential term - its average) at action h.
 
@@ -180,7 +176,6 @@ def _potential_shift_integral(system, h):
     return CumulativeIntegral(integrand, panels)
 
 
-@lru_cache(maxsize=64)
 def _forcing_shift_integral(system, h, t):
     """Integral from 0 to theta of the forcing term along the rotating angle,
     minus its average; closes to 0 over a full circle."""

@@ -83,7 +83,7 @@ def _forcing_strength_quadrature(system) -> float:
 
 def restoring_barrier(system) -> float:
     """B = 2 |g(+inf) - g(-inf)|."""
-    return 2.0 * abs(fx.limit_gap(system.g))
+    return 2.0 * abs(system.gap)
 
 
 def lazer_leach_report(system) -> ConditionReport:
@@ -125,7 +125,7 @@ def beta_profile(system, h_grid):
         raise ValueError("beta profile needs h >= 100")
     if sorted(h_grid) != h_grid:
         raise ValueError("h grid must be increasing")
-    growth = (math.sqrt(2.0) / math.pi) * system.n ** -1.5 * abs(fx.limit_gap(system.g))
+    growth = (math.sqrt(2.0) / math.pi) * system.n ** -1.5 * abs(system.gap)
     out = []
     for h in h_grid:
         try:

@@ -39,7 +39,6 @@ from .errors import (
 from .fitting import DecayFit, loglog_fit
 from .functions import (
     SCALAR_NAMESPACE,
-    limit_gap,
     literal,
     make_system,
     scalar_source,
@@ -510,8 +509,7 @@ def twist_scaling_check(system, I_grid=None, tol: float = 1.0e-10,
     decades, and fits the decay (expected slope -1/2, expected sign the
     sign of the restoring gap g(+inf) - g(-inf)).
     """
-    gap = limit_gap(system.g)
-    if gap == 0.0:
+    if system.gap == 0.0:
         raise FitDegenerateError(
             "restoring gap vanishes, no twist to measure"
         )
@@ -536,7 +534,7 @@ def twist_scaling_check(system, I_grid=None, tol: float = 1.0e-10,
         w = rotation_number(rec)
         omegas.append(w)
         deviations.append(w - system.n)
-    expected = math.copysign(1.0, gap)
+    expected = math.copysign(1.0, system.gap)
     consistent = all(
         d != 0.0 and math.copysign(1.0, d) == expected for d in deviations
     )

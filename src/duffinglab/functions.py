@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -140,8 +140,16 @@ FunctionSpec = Union[
     XArctan, LogSquarePlusOne, PowerSquarePlusOne, Linear,
 ]
 
-_CONFIG_KINDS = ("constant", "arctan", "algebraic_tail", "trig_poly",
-                 "rational1", "sum", "scaled")
+# each config kind and the keys its nodes may hold besides "kind"
+_CONFIG_KEYS = {
+    "constant": {"c"},
+    "arctan": {"scale"},
+    "algebraic_tail": {"c", "e"},
+    "trig_poly": {"period", "cos", "sin", "constant"},
+    "rational1": {"c"},
+    "sum": {"terms"},
+    "scaled": {"k", "child"},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +272,41 @@ def evaluate(spec: FunctionSpec, x):
 # structural calculus
 # ---------------------------------------------------------------------------
 
-def antiderivative(spec: FunctionSpec, path: str = "g") -> FunctionSpec:
-    """Antiderivative F with F(0) = 0 of a restoring force, closed over the
-    grammar.  This is also the admissibility check on g: a rejection names
-    the node by its config path, rooted at ``path``.
+class RestoringParts(NamedTuple):
+    """What a system needs of its restoring force g, from one walk.
+
+    potential is the antiderivative of g with value 0 at x = 0;
+    even_potential is the potential without its Linear terms, which is
+    even in x (None when nothing else is left); lo and hi are g(-inf) and
+    g(+inf).
+    """
+
+    potential: FunctionSpec
+    even_potential: Optional[FunctionSpec]
+    lo: float
+    hi: float
+
+
+def restoring_parts(spec: FunctionSpec, path: str = "g") -> RestoringParts:
+    """Potential, even part and limits of a restoring force, closed over
+    the grammar.  This is also the admissibility check on g: a rejection
+    names the node by its config path, rooted at ``path``.
+
+    In the even part, Linear terms are dropped, a sum left with one term
+    is that term and Scaled factors are kept.  Sums add their children's
+    limits in child order.
 
     AlgebraicTail with e = 1 has a logarithmic antiderivative not expressible
     with a finite limit structure here; it is rejected (use Rational1, which
     is that shape with the log handled explicitly).
     """
     if isinstance(spec, Constant):
-        return Linear(spec.c)
+        return RestoringParts(Linear(spec.c), None, spec.c, spec.c)
     if isinstance(spec, Arctan):
         # d/dx [x*atan(x) - ln(1+x^2)/2] = atan(x); value 0 at x=0.
-        return Sum((XArctan(spec.scale), LogSquarePlusOne(-0.5 * spec.scale)))
+        potential = Sum((XArctan(spec.scale), LogSquarePlusOne(-0.5 * spec.scale)))
+        hi = spec.scale * (0.5 * math.pi)
+        return RestoringParts(potential, potential, -hi, hi)
     if isinstance(spec, AlgebraicTail):
         if spec.e == 1.0:
             raise UnsupportedExponentError(
@@ -285,14 +314,33 @@ def antiderivative(spec: FunctionSpec, path: str = "g") -> FunctionSpec:
                 "use rational1 instead", e=spec.e,
             )
         k = spec.c / (2.0 * (1.0 - spec.e))
-        return Sum((PowerSquarePlusOne(k, 1.0 - spec.e), Constant(-k)))
+        potential = Sum((PowerSquarePlusOne(k, 1.0 - spec.e), Constant(-k)))
+        return RestoringParts(potential, potential, 0.0, 0.0)
     if isinstance(spec, Rational1):
-        return LogSquarePlusOne(0.5 * spec.c)
+        potential = LogSquarePlusOne(0.5 * spec.c)
+        return RestoringParts(potential, potential, 0.0, 0.0)
     if isinstance(spec, Sum):
-        return Sum(tuple(antiderivative(ch, f"{path}.terms[{i}]")
-                         for i, ch in enumerate(spec.children)))
+        kids = [restoring_parts(ch, f"{path}.terms[{i}]")
+                for i, ch in enumerate(spec.children)]
+        evens = tuple(kid.even_potential for kid in kids
+                      if kid.even_potential is not None)
+        lo = hi = 0.0
+        for kid in kids:
+            lo += kid.lo
+            hi += kid.hi
+        return RestoringParts(
+            Sum(tuple(kid.potential for kid in kids)),
+            (evens[0] if len(evens) == 1 else Sum(evens)) if evens else None,
+            lo, hi,
+        )
     if isinstance(spec, Scaled):
-        return Scaled(spec.k, antiderivative(spec.child, f"{path}.child"))
+        kid = restoring_parts(spec.child, f"{path}.child")
+        even = kid.even_potential
+        return RestoringParts(
+            Scaled(spec.k, kid.potential),
+            None if even is None else Scaled(spec.k, even),
+            spec.k * kid.lo, spec.k * kid.hi,
+        )
     raise InadmissibleFunctionError(
         f"{path}: {type(spec).__name__} is not admissible as a restoring force"
     )
@@ -311,36 +359,6 @@ def derivative_periodic(tp: TrigPoly) -> TrigPoly:
     return TrigPoly(tp.period, tuple(new_cos), tuple(new_sin), 0.0)
 
 
-def limits_at_infinity(spec: FunctionSpec) -> tuple:
-    """(limit at -inf, limit at +inf); raises if either does not exist."""
-    if isinstance(spec, Constant):
-        return (spec.c, spec.c)
-    if isinstance(spec, Arctan):
-        half_pi = 0.5 * math.pi
-        return (-spec.scale * half_pi, spec.scale * half_pi)
-    if isinstance(spec, (AlgebraicTail, Rational1)):
-        return (0.0, 0.0)
-    if isinstance(spec, Sum):
-        lo = hi = 0.0
-        for ch in spec.children:
-            a, b = limits_at_infinity(ch)
-            lo += a
-            hi += b
-        return (lo, hi)
-    if isinstance(spec, Scaled):
-        a, b = limits_at_infinity(spec.child)
-        return (spec.k * a, spec.k * b)
-    raise InadmissibleFunctionError(
-        f"{type(spec).__name__} has no finite limits at infinity"
-    )
-
-
-def limit_gap(spec: FunctionSpec) -> float:
-    """g(+inf) - g(-inf)."""
-    lo, hi = limits_at_infinity(spec)
-    return hi - lo
-
-
 # ---------------------------------------------------------------------------
 # trig poly helpers
 # ---------------------------------------------------------------------------
@@ -350,35 +368,6 @@ def harmonic(tp: TrigPoly, m: int) -> tuple:
     a = tp.cos_coeffs[m - 1] if 1 <= m <= len(tp.cos_coeffs) else 0.0
     b = tp.sin_coeffs[m - 1] if 1 <= m <= len(tp.sin_coeffs) else 0.0
     return (a, b)
-
-
-def split_even_linear(spec: FunctionSpec) -> tuple:
-    """Split an antiderivative tree into (even part, linear coefficient).
-
-    Valid for antiderivatives of admissible restoring forces: every node is
-    even in x except Linear terms. Returns (spec_without_linear, k_total).
-    """
-    if isinstance(spec, Linear):
-        return (None, spec.k)
-    if isinstance(spec, (Constant, XArctan, LogSquarePlusOne, PowerSquarePlusOne)):
-        return (spec, 0.0)
-    if isinstance(spec, Sum):
-        evens = []
-        k = 0.0
-        for ch in spec.children:
-            ev, kc = split_even_linear(ch)
-            k += kc
-            if ev is not None:
-                evens.append(ev)
-        if not evens:
-            return (None, k)
-        return (evens[0] if len(evens) == 1 else Sum(tuple(evens)), k)
-    if isinstance(spec, Scaled):
-        ev, kc = split_even_linear(spec.child)
-        return (None if ev is None else Scaled(spec.k, ev), spec.k * kc)
-    raise InadmissibleFunctionError(
-        f"{type(spec).__name__} not expected inside a potential"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +428,12 @@ def spec_from_config(obj, path: str = "spec") -> FunctionSpec:
     if not isinstance(obj, dict):
         raise SpecValidationError(f"{path}: expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind not in _CONFIG_KINDS:
+    if kind not in _CONFIG_KEYS:
         raise SpecValidationError(f"{path}: unknown kind {kind!r}")
+    unknown = sorted(set(obj) - _CONFIG_KEYS[kind] - {"kind"})
+    if unknown:
+        raise SpecValidationError(
+            f"{path}.{unknown[0]}: unknown key for kind {kind!r}")
     if kind == "constant":
         return Constant(_require_number(obj, "c", path))
     if kind == "arctan":
@@ -477,11 +470,13 @@ def spec_from_config(obj, path: str = "spec") -> FunctionSpec:
 # ---------------------------------------------------------------------------
 
 def _periodic_leaves(spec: FunctionSpec, path: str, scale: float = 1.0):
-    """Yield (path, scale, leaf) for the TrigPoly and Constant leaves of a
-    periodic spec, depth first; scale is the product of the enclosing Scaled
-    factors."""
-    if isinstance(spec, (TrigPoly, Constant)):
+    """Yield (path, scale, leaf) for the TrigPoly leaves of a periodic spec,
+    depth first; scale is the product of the enclosing Scaled factors.
+    Constant leaves carry only mean, so they yield nothing."""
+    if isinstance(spec, TrigPoly):
         yield path, scale, spec
+    elif isinstance(spec, Constant):
+        return
     elif isinstance(spec, Sum):
         for i, ch in enumerate(spec.children):
             yield from _periodic_leaves(ch, f"{path}.terms[{i}]", scale)
@@ -497,16 +492,14 @@ def _zero_mean_poly(spec: FunctionSpec, path: str) -> TrigPoly:
     """A periodic spec summed into one TrigPoly with constant 0.0.
 
     Each leaf's harmonics enter times the product of its enclosing Scaled
-    factors, depth first; the constants, which carry the whole mean, are
-    dropped.  The first leaf to reach a harmonic sets it, so a spec that is
+    factors, depth first; the constants, which carry the whole mean, never
+    reach it.  The first leaf to reach a harmonic sets it, so a spec that is
     already one TrigPoly keeps its coefficient tuples bit for bit, trailing
     zeros and -0.0 included.  All-zero harmonics give TrigPoly(period).
     """
     period = None
     sums = ([], [])  # cos, sin
     for where, scale, leaf in _periodic_leaves(spec, path):
-        if isinstance(leaf, Constant):
-            continue
         if period is None:
             period = leaf.period
         elif not math.isclose(leaf.period, period, rel_tol=1e-12, abs_tol=0.0):
@@ -529,9 +522,10 @@ def _zero_mean_poly(spec: FunctionSpec, path: str) -> TrigPoly:
 class DuffingSystem:
     """x'' + n^2 x + g(x) + psi'(x) = p(t), with derived pieces cached.
 
-    potential is the antiderivative of g with value 0 at x = 0;
-    psi is stored as one zero-mean TrigPoly; psi_prime is its exact
-    derivative.
+    potential is the antiderivative of g with value 0 at x = 0, and
+    even_potential its even part (see restoring_parts); gap is
+    g(+inf) - g(-inf).  psi is stored as one zero-mean TrigPoly;
+    psi_prime is its exact derivative.
     """
 
     n: int
@@ -539,6 +533,8 @@ class DuffingSystem:
     psi: TrigPoly
     p: TrigPoly
     potential: FunctionSpec
+    even_potential: Optional[FunctionSpec]
+    gap: float
     psi_prime: TrigPoly
 
     def system_id(self) -> str:
@@ -557,10 +553,10 @@ def make_system(n: int, g: FunctionSpec, psi=None, p: TrigPoly = None,
     the piece at fault, rooted at ``path``.
 
     psi may be a TrigPoly or a sum, scaled or constant tree of them; it is
-    summed into one zero-mean TrigPoly here, once.
+    summed into one zero-mean TrigPoly here, once.  g is walked once, by
+    restoring_parts.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise SpecValidationError(f"n must be a positive integer, got {n!r}")
+    _check_n(n, path)
     if p is None:
         p = TrigPoly(TWO_PI)
     if not isinstance(p, TrigPoly):
@@ -572,11 +568,18 @@ def make_system(n: int, g: FunctionSpec, psi=None, p: TrigPoly = None,
     if p.constant != 0.0:
         raise InadmissibleFunctionError(f"{path}.p.constant: forcing must have zero mean")
     psi = _zero_mean_poly(TrigPoly(TWO_PI) if psi is None else psi, f"{path}.psi")
+    parts = restoring_parts(g, f"{path}.g")
     return DuffingSystem(
         n=int(n), g=g, psi=psi, p=p,
-        potential=antiderivative(g, f"{path}.g"),
+        potential=parts.potential, even_potential=parts.even_potential,
+        gap=parts.hi - parts.lo,
         psi_prime=derivative_periodic(psi),
     )
+
+
+def _check_n(n, path: str) -> None:
+    if not _is_finite_number(n) or not isinstance(n, int) or not 1 <= n <= MAX_N:
+        raise SpecValidationError(f"{path}.n: expected an integer in [1, {MAX_N}]")
 
 
 def system_to_config(system: DuffingSystem) -> dict:
@@ -595,9 +598,7 @@ def system_from_config(obj, path: str = "system") -> DuffingSystem:
     if unknown:
         raise SpecValidationError(f"{path}: unknown keys {sorted(unknown)}")
     n = obj.get("n")
-    if not _is_finite_number(n) or not isinstance(n, int) or not 1 <= n <= MAX_N:
-        raise SpecValidationError(
-            f"{path}.n: expected an integer in [1, {MAX_N}]")
+    _check_n(n, path)
     if "g" not in obj:
         raise SpecValidationError(f"{path}: missing key 'g'")
     g = spec_from_config(obj["g"], f"{path}.g")

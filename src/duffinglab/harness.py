@@ -33,15 +33,8 @@ from .actionangle import (
 from .errors import NumericFailureError, SpecValidationError
 from .fitting import geometric_grid
 from .functions import (
-    AlgebraicTail,
-    Arctan,
-    Constant,
-    Rational1,
-    Sum,
-    TrigPoly,
     DuffingSystem,
     _is_finite_number,
-    make_system,
     system_from_config,
     system_to_config,
 )
@@ -556,46 +549,50 @@ def run(cfg: ExperimentConfig) -> list:
 # builtin scenarios
 # ---------------------------------------------------------------------------
 
-def _ding_system() -> DuffingSystem:
-    return make_system(1, Arctan(), p=TrigPoly(TWO_PI, (4.0,), ()))
-
-
-def _ll_bounded_system() -> DuffingSystem:
-    return make_system(
-        1, Arctan(),
-        psi=TrigPoly(TWO_PI, (), (1.0,)),
-        p=TrigPoly(TWO_PI, (1.0,), ()),
-    )
-
+# the builtin systems, as system documents (the echo in their config.json)
+_TRIG_ZERO = {"kind": "trig_poly", "period": TWO_PI, "cos": [], "sin": []}
+_FORCING_2COS = {"kind": "trig_poly", "period": TWO_PI, "cos": [2.0], "sin": []}
+_ARCTAN = {"kind": "arctan", "scale": 1.0}
 
 # critical pair: both members sit exactly on the Lazer-Leach equality
 # (restoring gap pi against forcing 2 cos t).  The tail of the first adds
 # a growing potential correction (fitted d < 1, confining); the second
 # mirrors the arctan + x/(1+x^2) trick, cancelling the 1/x tail so the
-# correction decays (fitted d > 1, escape channel open).
-_PAIR_D_BELOW = 1.0 / 3.0
-_PAIR_C_BELOW = 32.0
-
-
-def _critical_below_system() -> DuffingSystem:
-    d = _PAIR_D_BELOW
-    return make_system(
-        1,
-        Sum((Arctan(), AlgebraicTail(_PAIR_C_BELOW * (1.0 - d), 0.5 * (1.0 + d)))),
-        p=TrigPoly(TWO_PI, (2.0,), ()),
-    )
-
-
-def _critical_above_system() -> DuffingSystem:
-    return make_system(
-        1,
-        Sum((Arctan(), Rational1(1.0), AlgebraicTail(1.0, 1.5))),
-        p=TrigPoly(TWO_PI, (2.0,), ()),
-    )
-
-
-def _linear_system() -> DuffingSystem:
-    return make_system(1, Constant(0.0))
+# correction decays (fitted d > 1, escape channel open).  The first tail
+# is 32 (1 - d) x (1 + x^2)^(-(1 + d)/2) with d = 1/3.
+_SCENARIO_SYSTEMS = {
+    "ding": {
+        "n": 1, "g": _ARCTAN, "psi": _TRIG_ZERO,
+        "p": {"kind": "trig_poly", "period": TWO_PI, "cos": [4.0], "sin": []},
+    },
+    "ll-bounded": {
+        "n": 1, "g": _ARCTAN,
+        "psi": {"kind": "trig_poly", "period": TWO_PI, "cos": [], "sin": [1.0]},
+        "p": {"kind": "trig_poly", "period": TWO_PI, "cos": [1.0], "sin": []},
+    },
+    "critical-pair-below": {
+        "n": 1,
+        "g": {"kind": "sum", "terms": [
+            _ARCTAN,
+            {"kind": "algebraic_tail", "c": 21.333333333333336,
+             "e": 0.6666666666666666},
+        ]},
+        "psi": _TRIG_ZERO, "p": _FORCING_2COS,
+    },
+    "critical-pair-above": {
+        "n": 1,
+        "g": {"kind": "sum", "terms": [
+            _ARCTAN,
+            {"kind": "rational1", "c": 1.0},
+            {"kind": "algebraic_tail", "c": 1.0, "e": 1.5},
+        ]},
+        "psi": _TRIG_ZERO, "p": _FORCING_2COS,
+    },
+    "linear": {
+        "n": 1, "g": {"kind": "constant", "c": 0.0}, "psi": _TRIG_ZERO,
+        "p": _TRIG_ZERO,
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -667,19 +664,11 @@ SCENARIOS = (
 
 _SCENARIO_INDEX = {s.name: s for s in SCENARIOS}
 
-# system aliases for `--scenario` on single-system subcommands
-_SCENARIO_SYSTEMS = {
-    "ding": _ding_system,
-    "ll-bounded": _ll_bounded_system,
-    "critical-pair-below": _critical_below_system,
-    "critical-pair-above": _critical_above_system,
-    "linear": _linear_system,
-}
-
 
 def scenario_system(name: str) -> DuffingSystem:
+    """A builtin system by its `--scenario` alias."""
     if name in _SCENARIO_SYSTEMS:
-        return _SCENARIO_SYSTEMS[name]()
+        return system_from_config(_SCENARIO_SYSTEMS[name])
     raise SpecValidationError(
         f"unknown scenario system {name!r}; "
         f"choose one of {', '.join(sorted(_SCENARIO_SYSTEMS))}"

@@ -142,8 +142,10 @@ def test_generator_panel_cap_refuses_before_allocating(monkeypatch):
         return real(f, n_panels)
 
     monkeypatch.setattr(actionangle, "CumulativeIntegral", capped)
-    # 4 sqrt(2hn) panels for the potential, 8 (n + 1) for the forcing
+    # 4 sqrt(2hn) panels for the potential, 8 (n + m) for the forcing,
+    # where m is the number of harmonics of p: 8 (1 + 131073) > 2^20
     with pytest.raises(AmplitudeTooLargeError):
         normal_form_residuals(make_system(1, Arctan()), 1.0e14)
+    p = TrigPoly(TWO_PI, (1.0,) + (0.0,) * 131072)
     with pytest.raises(AmplitudeTooLargeError):
-        normal_form_residuals(make_system(10 ** 6, Arctan()), 1.0)
+        normal_form_residuals(make_system(1, Arctan(), p=p), 1.0)

@@ -284,6 +284,12 @@ def _system(**pieces):
      "system.p.period:"),
     (["conditions", "--system", _system(p=dict(_trig(4.0), constant=1.0))],
      "system.p.constant:"),
+    (["conditions", "--system", _system(g={"kind": "arctan", "scale": 1.0,
+                                          "scael": 2.0})], "system.g.scael:"),
+    (["conditions", "--system", _system(psi=dict(_trig(0.5), sine=[9.0]))],
+     "system.psi.sine:"),
+    (["conditions", "--system", _system(p=dict(_trig(4.0), constnat=1.0))],
+     "system.p.constnat:"),
 ])
 def test_bad_input_exits_2_naming_its_path(argv, named, capsys, monkeypatch):
     _one_cpu(monkeypatch)

@@ -95,13 +95,17 @@ def test_evaluate_vectorized():
 
 
 # ---------------------------------------------------------------------------
-# antiderivatives
+# the walk over g: potential, even part, limits
 # ---------------------------------------------------------------------------
+
+def _potential(spec):
+    return fx.restoring_parts(spec).potential
+
 
 @given(restoring_specs(),
        st.floats(min_value=-20.0, max_value=20.0))
 def test_antiderivative_differentiates_back(spec, x):
-    G = fx.antiderivative(spec)
+    G = _potential(spec)
     step = 1e-5 * max(1.0, abs(x))
     approx = (fx.evaluate(G, x + step) - fx.evaluate(G, x - step)) / (2 * step)
     assert approx == pytest.approx(fx.evaluate(spec, x), rel=1e-5, abs=1e-5)
@@ -109,7 +113,7 @@ def test_antiderivative_differentiates_back(spec, x):
 
 
 def test_arctan_antiderivative_closed_form():
-    G = fx.antiderivative(Arctan(1.5))
+    G = _potential(Arctan(1.5))
     for x in (-3.0, -0.5, 0.0, 1.0, 7.0):
         expected = 1.5 * (x * math.atan(x) - 0.5 * math.log1p(x * x))
         assert fx.evaluate(G, x) == pytest.approx(expected, rel=1e-14, abs=1e-15)
@@ -117,7 +121,7 @@ def test_arctan_antiderivative_closed_form():
 
 def test_tail_antiderivative_closed_form():
     c, e = 2.0, 0.75
-    G = fx.antiderivative(AlgebraicTail(c, e))
+    G = _potential(AlgebraicTail(c, e))
     k = c / (2.0 * (1.0 - e))
     for x in (-4.0, 0.3, 10.0):
         expected = k * ((1.0 + x * x) ** (1.0 - e) - 1.0)
@@ -126,11 +130,11 @@ def test_tail_antiderivative_closed_form():
 
 def test_unit_exponent_tail_rejected():
     with pytest.raises(UnsupportedExponentError):
-        fx.antiderivative(AlgebraicTail(1.0, 1.0))
+        fx.restoring_parts(AlgebraicTail(1.0, 1.0))
 
 
 def test_rational1_antiderivative_is_log():
-    G = fx.antiderivative(Rational1(2.0))
+    G = _potential(Rational1(2.0))
     assert fx.evaluate(G, 3.0) == pytest.approx(math.log(10.0), rel=1e-14)
 
 
@@ -142,30 +146,32 @@ def test_trig_derivative():
         assert fx.evaluate(dp, t) == pytest.approx(expected, rel=1e-13)
 
 
-# ---------------------------------------------------------------------------
-# limits, gaps, bounds
-# ---------------------------------------------------------------------------
+def _limits(spec):
+    parts = fx.restoring_parts(spec)
+    return (parts.lo, parts.hi)
+
 
 def test_limits_at_infinity():
-    assert fx.limits_at_infinity(Arctan()) == (-math.pi / 2, math.pi / 2)
-    assert fx.limits_at_infinity(AlgebraicTail(5.0, 0.8)) == (0.0, 0.0)
-    assert fx.limits_at_infinity(Constant(2.0)) == (2.0, 2.0)
-    lo, hi = fx.limits_at_infinity(Sum((Arctan(), Constant(1.0))))
+    assert _limits(Arctan()) == (-math.pi / 2, math.pi / 2)
+    assert _limits(AlgebraicTail(5.0, 0.8)) == (0.0, 0.0)
+    assert _limits(Constant(2.0)) == (2.0, 2.0)
+    lo, hi = _limits(Sum((Arctan(), Constant(1.0))))
     assert (lo, hi) == pytest.approx((1.0 - math.pi / 2, 1.0 + math.pi / 2))
 
 
 def test_negative_scale_keeps_limit_order():
     # the pair is positionally (limit at -inf, limit at +inf) even when
     # scaling flips the ordering of the two values
-    lo, hi = fx.limits_at_infinity(Scaled(-1.0, Arctan()))
+    lo, hi = _limits(Scaled(-1.0, Arctan()))
     assert lo == pytest.approx(math.pi / 2)
     assert hi == pytest.approx(-math.pi / 2)
-    assert fx.limit_gap(Scaled(-2.0, Arctan())) == pytest.approx(-2.0 * math.pi)
+    gap = make_system(1, Scaled(-2.0, Arctan())).gap
+    assert gap == pytest.approx(-2.0 * math.pi)
 
 
 def test_limits_reject_periodic():
     with pytest.raises(InadmissibleFunctionError):
-        fx.limits_at_infinity(TrigPoly(TWO_PI, (1.0,), ()))
+        fx.restoring_parts(TrigPoly(TWO_PI, (1.0,), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +186,24 @@ def test_harmonic_extraction():
 
 
 def test_split_even_linear():
-    g = Sum((Arctan(), Constant(0.3)))
-    G = fx.antiderivative(g)
-    even, k = fx.split_even_linear(G)
-    assert k == pytest.approx(0.3)
+    # the constant 0.3 of g is the potential's whole linear term
+    s = make_system(1, Sum((Arctan(), Constant(0.3))))
+    G, even, k = s.potential, s.even_potential, 0.3
     for x in (0.7, 2.5, 9.0):
         total = fx.evaluate(G, x)
         assert fx.evaluate(even, x) + k * x == pytest.approx(total, rel=1e-13)
         assert fx.evaluate(even, x) == pytest.approx(
             fx.evaluate(even, -x), rel=1e-13)
+
+
+def test_even_part_structure():
+    # Linear terms go, a lone survivor is unwrapped, Scaled factors stay
+    arctan = _potential(Arctan())
+    parts = fx.restoring_parts(Scaled(2.0, Sum((Constant(1.0), Arctan()))))
+    assert parts.even_potential == Scaled(2.0, arctan)
+    assert fx.restoring_parts(Sum((Constant(1.0), Scaled(3.0, Constant(2.0))))
+                              ).even_potential is None
+    assert make_system(1, Constant(0.0)).even_potential is None
 
 
 def test_periodic_period_consistency():
@@ -218,6 +233,21 @@ def test_config_errors_carry_paths():
         fx.spec_from_config({"kind": "algebraic_tail", "c": 1.0, "e": 0.25})
 
 
+@pytest.mark.parametrize("node", [
+    {"kind": "constant", "c": 1.0},
+    {"kind": "arctan", "scale": 1.0},
+    {"kind": "algebraic_tail", "c": 1.0, "e": 1.5},
+    {"kind": "trig_poly", "period": 1.0, "cos": [1.0], "sin": [], "constant": 0.5},
+    {"kind": "rational1", "c": 1.0},
+    {"kind": "sum", "terms": [{"kind": "arctan", "scale": 1.0}]},
+    {"kind": "scaled", "k": 2.0, "child": {"kind": "arctan", "scale": 1.0}},
+])
+def test_unknown_node_key_is_named(node):
+    fx.spec_from_config(node, path="g")
+    with pytest.raises(SpecValidationError, match=r"^g\.extra: unknown key"):
+        fx.spec_from_config(dict(node, extra=0.0), path="g")
+
+
 # ---------------------------------------------------------------------------
 # system assembly
 # ---------------------------------------------------------------------------
@@ -227,6 +257,9 @@ def test_make_system_guards():
         make_system(0, Arctan())
     with pytest.raises(SpecValidationError):
         make_system(True, Arctan())
+    with pytest.raises(SpecValidationError, match=r"system\.n: expected an integer"):
+        make_system(fx.MAX_N + 1, Arctan())
+    assert make_system(fx.MAX_N, Arctan()).n == fx.MAX_N
     with pytest.raises(InadmissibleFunctionError):
         make_system(1, TrigPoly(TWO_PI, (1.0,), ()))
     with pytest.raises(InadmissibleFunctionError):

@@ -9,7 +9,7 @@ import pytest
 from duffinglab import cli
 from duffinglab import conditions as cond
 from duffinglab.errors import NumericFailureError, SpecValidationError
-from duffinglab.functions import system_to_config
+from duffinglab.functions import system_from_config, system_to_config
 from duffinglab.harness import (
     DEFAULT_HORIZON,
     DEFAULT_N,
@@ -29,6 +29,21 @@ from duffinglab.harness import (
 
 DING_SYSTEM = system_to_config(scenario_system("ding"))
 LL_SYSTEM = system_to_config(scenario_system("ll-bounded"))
+
+
+@pytest.mark.parametrize("name, system_id", [
+    ("ding", "39029dede645"),
+    ("ll-bounded", "65e1d7f3345a"),
+    ("critical-pair-below", "2f9d3a6e1e24"),
+    ("critical-pair-above", "c40cea195225"),
+    ("linear", "86898184056c"),
+])
+def test_scenario_systems_keep_their_ids(name, system_id):
+    system = scenario_system(name)
+    assert system.system_id() == system_id
+    echo = json.loads(json.dumps(system_to_config(system)))
+    again = system_from_config(echo)
+    assert again == system and repr(again) == repr(system)
 
 
 def _read(path):

@@ -58,6 +58,10 @@ def restoring_forces():
     )
 
 
+def _potential(g):
+    return fx.restoring_parts(g).potential
+
+
 def systems():
     return st.builds(
         make_system,
@@ -127,14 +131,14 @@ def test_kernel_matches_reference(system, x0, y0, t0, span, tol):
     assert _generated(*args) == _reference(*args)
 
 
-@given(st.one_of(restoring_forces(), restoring_forces().map(fx.antiderivative),
+@given(st.one_of(restoring_forces(), restoring_forces().map(_potential),
                  trig_polys(max_harmonics=4)),
        st.floats(min_value=-1.0e3, max_value=1.0e3))
 def test_compile_scalar_matches_reference(spec, x):
     assert repr(fx.compile_scalar(spec)(x)) == repr(ref.compile_scalar(spec)(x))
 
 
-@given(st.one_of(restoring_specs(), restoring_specs().map(fx.antiderivative),
+@given(st.one_of(restoring_specs(), restoring_specs().map(_potential),
                  trig_polys(max_harmonics=4)),
        st.one_of(st.floats(), st.lists(st.floats(), max_size=8).map(np.array)))
 def test_evaluate_matches_reference(spec, x):
