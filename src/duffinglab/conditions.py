@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import functions as fx
-from .actionangle import averaged_potential
+from .actionangle import averaged_potential, averaged_potential_asymptote
 from .errors import FitDegenerateError, PrecisionFailureError
 from .fitting import DecayFit, geometric_grid, loglog_fit
 from .quadrature import periodic_mean
@@ -125,7 +125,7 @@ def beta_profile(system, h_grid):
         raise ValueError("beta profile needs h >= 100")
     if sorted(h_grid) != h_grid:
         raise ValueError("h grid must be increasing")
-    growth = (math.sqrt(2.0) / math.pi) * system.n ** -1.5 * abs(system.gap)
+    growth = abs(averaged_potential_asymptote(system))
     out = []
     for h in h_grid:
         try:

@@ -20,7 +20,7 @@ import math
 import os
 import pickle
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -565,7 +565,10 @@ class ClassificationVerdict:
     growth_fit: Optional[DecayFit]
     horizon_strobes: int
     error: Optional[str] = None
-    # the integrator work of the orbit of a scan slot; not in the JSON
+    # classify_orbit's fit of log I against log t on the final half of the
+    # record (None if degenerate) and the orbit's integrator work; both
+    # None on a failed scan slot, and neither goes into the JSON
+    tail_fit: Optional[DecayFit] = None
     stats: Optional[IntegratorStats] = None
 
     def to_json_dict(self) -> dict:
@@ -602,27 +605,28 @@ def classify_orbit(rec: OrbitRecord, escape_factor: float = 4.0,
     value and a positive growth slope of log I against log t on the
     final half of the record; BoundedEvidence needs the whole record to
     stay within confine_factor times the initial action.  Everything
-    else is Undecided.
+    else is Undecided.  Every verdict carries that tail fit and the
+    record's integrator stats; its growth_fit is the tail fit once the
+    action has reached escape_factor times its start, else None.
     """
     its = rec.iterates
     I0 = its[0].I
     actions = np.array([it.I for it in its])
     max_I = float(actions.max())
     min_I = float(actions.min())
-    horizon = len(its) - 1
-
+    fit = _tail_fit(rec)
+    growth_fit = None
     if max_I >= escape_factor * I0:
-        growth_fit = _tail_fit(rec)
-        if growth_fit is not None and growth_fit.slope > 0.0:
-            return ClassificationVerdict(
-                VERDICT_ESCAPING, max_I, min_I, growth_fit, horizon)
-        return ClassificationVerdict(
-            VERDICT_UNDECIDED, max_I, min_I, growth_fit, horizon)
-    if not rec.escaped and max_I <= confine_factor * I0:
-        return ClassificationVerdict(
-            VERDICT_BOUNDED, max_I, min_I, None, horizon)
+        growth_fit = fit
+        escaping = fit is not None and fit.slope > 0.0
+        verdict = VERDICT_ESCAPING if escaping else VERDICT_UNDECIDED
+    elif not rec.escaped and max_I <= confine_factor * I0:
+        verdict = VERDICT_BOUNDED
+    else:
+        verdict = VERDICT_UNDECIDED
     return ClassificationVerdict(
-        VERDICT_UNDECIDED, max_I, min_I, None, horizon)
+        verdict, max_I, min_I, growth_fit, len(its) - 1,
+        tail_fit=fit, stats=rec.integrator_stats)
 
 
 def sweep(system, initial_grid, N: int, tol: float):
@@ -634,27 +638,25 @@ def sweep(system, initial_grid, N: int, tol: float):
     initials = list(initial_grid)
     if not initials:
         raise SpecValidationError("initial grid must be nonempty")
-    return [v for v, _ in _orbit_slots(system, initials, N, tol)]
+    return _orbit_slots(system, initials, N, tol)
 
 
-def _orbit_slot(system, s0: PhaseState, N: int, tol: float) -> tuple:
-    """(verdict, tail fit) of one orbit of a scan; the verdict carries the
-    orbit's IntegratorStats.
+def _orbit_slot(system, s0: PhaseState, N: int,
+                tol: float) -> ClassificationVerdict:
+    """The classify_orbit verdict of one orbit of a scan.
 
     A failure fills the slot with an Undecided verdict that carries the
-    error message, NaN actions and no stats, and no fit, so it never
+    error message, NaN actions, no tail fit and no stats, so it never
     aborts the rest of the scan.
     """
     try:
-        rec = orbit(system, s0, N, tol)
-        verdict = replace(classify_orbit(rec), stats=rec.integrator_stats)
-        return verdict, _tail_fit(rec)
+        return classify_orbit(orbit(system, s0, N, tol))
     except DuffingLabError as exc:
         return ClassificationVerdict(
             verdict=VERDICT_UNDECIDED, max_I=math.nan, min_I=math.nan,
             growth_fit=None, horizon_strobes=0,
             error=f"{type(exc).__name__}: {exc}",
-        ), None
+        )
 
 
 def _orbit_slots(system, initials: list, N: int, tol: float) -> list:
@@ -798,8 +800,7 @@ def critical_escape_scan(system, I0: float, phases: int, N: int,
     x0 = math.sqrt(2.0 * I0 / system.n)
     initials = [PhaseState(x=x0, y=0.0, t=TWO_PI * k / phases)
                 for k in range(phases)]
-    slots = _orbit_slots(system, initials, N, tol)
-    verdicts = [v for v, _ in slots]
+    verdicts = _orbit_slots(system, initials, N, tol)
     best_idx = 0
     for k, v in enumerate(verdicts):
         best_max = verdicts[best_idx].max_I
@@ -811,7 +812,7 @@ def critical_escape_scan(system, I0: float, phases: int, N: int,
         1 for v in verdicts
         if v.growth_fit is not None and v.growth_fit.slope > 0.0
     )
-    best_fit = slots[best_idx][1]
+    best_fit = verdicts[best_idx].tail_fit
     return EscapeScan(
         best_phase_index=best_idx,
         best_t0=TWO_PI * best_idx / phases,

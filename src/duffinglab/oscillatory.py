@@ -5,7 +5,8 @@ phase ``a * cos(n theta)`` over the circle.  This module evaluates those
 means by brute periodic quadrature and verifies the two decay laws that
 make the term harmless at high energy: the h^(-1/4) envelope of the
 averaged term and the a^(-1/2) endpoint law of the model half-period
-integral.
+integral.  That integral is pi times the cos circle mean (DLMF 10.9.1),
+so the endpoint check measures the same circle means every run uses.
 """
 from __future__ import annotations
 
@@ -130,29 +131,6 @@ def decay_fit_envelope(samples, window_factor: float) -> DecayFit:
 # endpoint model integral
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 20
-
-
-def _half_integral_reflected(a: float) -> complex:
-    """Half-period model integral via the full-period trapezoid.
-
-    The phase cos(theta) is even about theta = 0 and pi, so the integral
-    over [0, pi] is half the full-period one; the periodic trapezoid on
-    the full circle converges spectrally (4 nodes per oscillation leave
-    aliasing far below double precision).
-    """
-    n = _pow2_at_least(4.0 * (1.0 + a))
-    step = TWO_PI / n
-    sum_cos = 0.0
-    sum_sin = 0.0
-    for lo in range(0, n, _CHUNK):
-        theta = np.arange(lo, min(lo + _CHUNK, n)) * step
-        phase = a * np.cos(theta)
-        sum_cos += float(np.sum(np.cos(phase)))
-        sum_sin += float(np.sum(np.sin(phase)))
-    return complex(math.pi * sum_cos / n, math.pi * sum_sin / n)
-
-
 @dataclass(frozen=True)
 class EndpointReport:
     """Fitted endpoint decay of the model integral against a^(-1/2)."""
@@ -180,11 +158,13 @@ class EndpointReport:
 def endpoint_expansion_check(a_grid=None, window_factor: float = 4.0) -> EndpointReport:
     """Scan |integral of exp(i a cos theta) over [0, pi]| on a geometric grid.
 
-    Both endpoints are stationary points of the phase, so the magnitude
-    decays like a^(-1/2) with an oscillating Bessel-type profile.  Fits
-    the windowed envelope (expected slope -1/2) and reports the
-    stability of the scaled prefactor max |V| * sqrt(a) per window
-    against the two-endpoint prediction sqrt(2*pi).
+    The sin part cancels over the half period, so the integral is
+    V(a) = pi * J0(a) = pi * circle_mean(a, "cos").  Both endpoints are
+    stationary points of the phase, so the magnitude decays like
+    a^(-1/2) with an oscillating Bessel-type profile.  Fits the windowed
+    envelope (expected slope -1/2) and reports the stability of the
+    scaled prefactor max |V| * sqrt(a) per window against the
+    two-endpoint prediction sqrt(2*pi).
     """
     if a_grid is None:
         a_grid = geometric_grid(1.0e2, 1.0e6, 257)
@@ -202,7 +182,7 @@ def endpoint_expansion_check(a_grid=None, window_factor: float = 4.0) -> Endpoin
     if np.max(ratios) > np.min(ratios) * (1.0 + 1.0e-6):
         raise SpecValidationError("a_grid must be geometric (constant ratio)")
 
-    magnitude = np.array([abs(_half_integral_reflected(a)) for a in grid])
+    magnitude = np.array([math.pi * abs(circle_mean(a, "cos")) for a in grid])
     fit = envelope_fit(grid, magnitude, window_factor)
     _, prefactors = envelope_points(grid, magnitude * np.sqrt(grid), window_factor)
     mean = float(np.mean(prefactors))

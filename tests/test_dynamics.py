@@ -246,6 +246,29 @@ def test_classify_escaped_flag_blocks_bounded():
     assert v.verdict == "Undecided"
 
 
+def test_every_verdict_carries_its_tail_fit_and_stats():
+    branches = {
+        "BoundedEvidence": [25.0 * (1.0 + 0.1 * math.sin(k)) for k in range(101)],
+        "Escaping": [25.0 * (1.0 + k) ** 2 for k in range(101)],
+        "Undecided": [25.0 + 65.0 * k / 100.0 for k in range(101)],
+    }
+    for name, actions in branches.items():
+        rec = _synthetic_record(actions)
+        v = classify_orbit(rec)
+        assert v.verdict == name
+        # the fit covers the final half of the record: strobes 50..100
+        assert v.tail_fit.n_points == 51
+        assert v.stats is rec.integrator_stats
+    # (1 + k)^2 against t = 2 pi k over k in [50, 100]: slope near 2
+    escaping = classify_orbit(_synthetic_record(branches["Escaping"]))
+    assert escaping.growth_fit is escaping.tail_fit
+    assert escaping.tail_fit.slope == pytest.approx(2.0, abs=0.05)
+    rec = orbit(DING, PhaseState(x=math.sqrt(50.0), y=0.0, t=0.0), 8, 1.0e-9)
+    v = classify_orbit(rec)
+    assert v.stats == rec.integrator_stats and v.stats.steps > 0
+    assert v.tail_fit.n_points == 5
+
+
 def test_classify_ding_escapes_quickly():
     rec = orbit(DING, PhaseState(x=math.sqrt(50.0), y=0.0, t=0.0), 60, 1.0e-9)
     v = classify_orbit(rec)

@@ -52,10 +52,10 @@ def test_fanned_slots_equal_serial_slots(cpus, monkeypatch):
     # one pickle per slot: objects shared across slots (the verdict
     # strings) come back as one copy per child, which only moves memo refs
     assert [pickle.dumps(s) for s in fanned] == [pickle.dumps(s) for s in serial]
-    assert serial[3][1] is None
-    assert "DegenerateStateError" in serial[3][0].error
-    assert math.isnan(serial[3][0].max_I)
-    assert all(isinstance(fit, DecayFit) for _, fit in serial[:3] + serial[4:])
+    assert serial[3].tail_fit is None
+    assert "DegenerateStateError" in serial[3].error
+    assert math.isnan(serial[3].max_I)
+    assert all(isinstance(v.tail_fit, DecayFit) for v in serial[:3] + serial[4:])
 
 
 def test_orbits_are_dealt_back_and_forth():
@@ -116,7 +116,7 @@ def test_failing_child_makes_parent_raise(slot, message, monkeypatch):
 
 
 def _bulky_slot(system, s0, N, tol):
-    return bytes(45_000), None
+    return bytes(45_000)
 
 
 def test_interrupted_parent_reaps_children_blocked_on_full_pipes(monkeypatch):

@@ -13,7 +13,6 @@ from duffinglab.errors import (
 from duffinglab.fitting import geometric_grid
 from duffinglab.functions import Arctan, TrigPoly, make_system
 from duffinglab.oscillatory import (
-    _half_integral_reflected,
     circle_mean,
     decay_fit_envelope,
     endpoint_expansion_check,
@@ -28,7 +27,8 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 def test_circle_mean_cos_is_j0():
-    for a in (0.0, 1.0, 10.0, 137.5):
+    # also the endpoint check's V(a) = pi * J0(a) at the amplitudes it scans
+    for a in (0.0, 1.0, 5.0, 10.0, 137.5, 1.0e3, 1.0e5):
         assert circle_mean(a, "cos", 1) == pytest.approx(
             oracle.j0(a), abs=1e-12)
 
@@ -124,18 +124,6 @@ def test_decay_fit_envelope_guards():
 # ---------------------------------------------------------------------------
 # endpoint model integral
 # ---------------------------------------------------------------------------
-
-def test_model_endpoint_integral_at_zero():
-    assert _half_integral_reflected(0.0) == pytest.approx(math.pi, rel=1e-14)
-
-
-def test_model_endpoint_integral_matches_pi_j0():
-    # the sin part cancels over the half period, so V(a) = pi * J0(a)
-    for a in (0.0, 5.0, 137.5, 1.0e3, 1.0e5):
-        v = _half_integral_reflected(a)
-        assert v.real == pytest.approx(math.pi * oracle.j0(a), abs=1e-12)
-        assert abs(v.imag) <= 1e-12
-
 
 def test_endpoint_expansion_check_small_grid():
     rep = endpoint_expansion_check(geometric_grid(1.0e2, 1.0e5, 65))
