@@ -33,7 +33,7 @@ class PhaseState:
 # ---------------------------------------------------------------------------
 
 AVG_REL_TOL = 1e-11
-AVG_NODE_CAP = 2 ** 20
+AVG_NODE_CAP = 2 ** 22
 
 
 def averaged_potential(system, I, abs_tol=None) -> float:

@@ -30,7 +30,7 @@ from .actionangle import (
     averaged_potential_slope_check,
     normal_form_residuals,
 )
-from .errors import NumericFailureError, SpecValidationError
+from .errors import FitDegenerateError, NumericFailureError, SpecValidationError
 from .fitting import geometric_grid
 from .functions import (
     DuffingSystem,
@@ -381,6 +381,10 @@ def _run_averages(cfg: ExperimentConfig):
 
 
 def _run_oscillatory(cfg: ExperimentConfig):
+    if not any(cfg.system.psi.cos_coeffs):
+        raise FitDegenerateError(
+            "system.psi has no cos harmonic: its circle average is exactly 0 "
+            "at every energy, so there is no decay envelope to fit")
     grid = geometric_grid(*cfg.numeric.grids["h_window"])
     rows = [(h, osc.psi_average(cfg.system, h)) for h in grid]
     fit = osc.decay_fit_envelope(rows, 4.0)

@@ -24,6 +24,7 @@ from duffinglab.functions import (
     evaluate,
     make_system,
 )
+from duffinglab.harness import scenario_system
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,6 +41,16 @@ def test_averaged_potential_against_mpmath():
         want = oracle.potential_circle_mean(
             lambda v: float(G(float(v))), amp, 1)
         assert averaged_potential(s, I) == pytest.approx(want, rel=1e-9)
+
+
+def test_averaged_potential_at_large_action():
+    # the doubling ladder settles at 2^21 full-circle nodes here
+    s = scenario_system("critical-pair-below")
+    G = compile_scalar(s.potential)
+    I = 1.4e10
+    want = oracle.potential_circle_mean(
+        lambda v: float(G(float(v))), math.sqrt(2.0 * I / s.n), s.n)
+    assert averaged_potential(s, I) == pytest.approx(want, rel=1e-9)
 
 
 def test_averaged_potential_degenerate_cases():

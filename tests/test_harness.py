@@ -8,6 +8,7 @@ import pytest
 
 from duffinglab import cli
 from duffinglab import conditions as cond
+from duffinglab import oscillatory as osc
 from duffinglab.errors import NumericFailureError, SpecValidationError
 from duffinglab.functions import system_from_config, system_to_config
 from duffinglab.harness import (
@@ -274,6 +275,21 @@ def test_run_numeric_failure_writes_errors_json(tmp_path):
     payload = json.loads(_read(str(tmp_path / "errors.json")))
     assert payload["error"] == "FitDegenerateError"
     assert "message" in payload and "details" in payload
+
+
+def test_oscillatory_sin_only_psi_fails_before_any_circle_mean(
+        tmp_path, monkeypatch):
+    def no_circle_mean(*args, **kwargs):
+        raise AssertionError("circle_mean called for a sin-only psi")
+
+    monkeypatch.setattr(osc, "circle_mean", no_circle_mean)
+    rc = cli.main(["oscillatory", "--scenario", "ll-bounded",
+                   "--h-window", "1e4,1e8,65", "--out", str(tmp_path)])
+    assert rc == 3
+    payload = json.loads(_read(str(tmp_path / "errors.json")))
+    assert payload["error"] == "FitDegenerateError"
+    assert "system.psi" in payload["message"]
+    assert "no cos harmonic" in payload["message"]
 
 
 # ---------------------------------------------------------------------------

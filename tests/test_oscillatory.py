@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import _oracles as oracle
+from duffinglab import oscillatory
 from duffinglab.errors import (
     AmplitudeTooLargeError,
     HTooSmallError,
@@ -18,6 +19,7 @@ from duffinglab.oscillatory import (
     endpoint_expansion_check,
     psi_average,
 )
+from duffinglab.quadrature import _pow2_at_least, even_circle_mean
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,10 +29,32 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 def test_circle_mean_cos_is_j0():
-    # also the endpoint check's V(a) = pi * J0(a) at the amplitudes it scans
-    for a in (0.0, 1.0, 5.0, 10.0, 137.5, 1.0e3, 1.0e5):
+    # also the endpoint check's V(a) = pi * J0(a) at the amplitudes it scans;
+    # at 31 and 63, 2(1+a) is a power of two, so the first level has the
+    # fewest nodes per unit amplitude; 31.5 and 1023.5 sit just past such
+    # an edge, and 1e6 is the top of the endpoint scan
+    for a in (0.0, 1.0, 5.0, 10.0, 31.0, 31.5, 63.0, 137.5, 1.0e3, 1023.5,
+              1.0e5, 2.8e5, 1.0e6):
         assert circle_mean(a, "cos", 1) == pytest.approx(
             oracle.j0(a), abs=1e-12)
+
+
+def test_circle_mean_starts_at_two_nodes_per_amplitude(monkeypatch):
+    # the first trapezoid level already meets the tolerance, so one
+    # doubling confirms it and the ladder stops there
+    seen = []
+
+    def recording(f_even, **kwargs):
+        value, nodes = even_circle_mean(f_even, **kwargs)
+        seen.append((kwargs["n_start"], nodes))
+        return value, nodes
+
+    monkeypatch.setattr(oscillatory, "even_circle_mean", recording)
+    for a in (0.0, 3.0, 31.0, 31.5, 100.0, 1023.5, 4.0e3, 6.5e4, 1.0e6):
+        seen.clear()
+        circle_mean(a, "cos", 1)
+        n_start = _pow2_at_least(2.0 * (1.0 + a))
+        assert seen == [(n_start, 2 * n_start)], a
 
 
 def test_circle_mean_independent_of_n():
