@@ -16,7 +16,7 @@ import numpy as np
 from . import functions as fx
 from .errors import AmplitudeTooLargeError, DegenerateStateError, FitDegenerateError
 from .fitting import DecayFit, geometric_grid, loglog_fit
-from .quadrature import CumulativeIntegral, _pow2_at_least, even_circle_mean
+from .quadrature import PANEL_CAP, CumulativeIntegral, _pow2_at_least, even_circle_mean
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,8 +64,8 @@ def _averaged_potential_info(system, I, abs_tol=None):
     amplitude = math.sqrt(2.0 * I / system.n)
     inv_n = 1.0 / system.n
 
-    def f_even(u):
-        return fx.evaluate(even_part, amplitude * np.cos(u)) * inv_n
+    def f_even(c):
+        return fx.evaluate(even_part, amplitude * c) * inv_n
 
     return even_circle_mean(
         f_even, rel_tol=AVG_REL_TOL, abs_tol=abs_tol,
@@ -143,28 +143,18 @@ def averaged_forcing(system, h, t) -> float:
 # first-order generating functions
 # ---------------------------------------------------------------------------
 
-# most 16-node panels a generator may take
-GENERATOR_PANEL_CAP = 2 ** 20
-
-
-def _generator_panels(need: float, h: float) -> int:
-    if not need <= GENERATOR_PANEL_CAP:
-        raise AmplitudeTooLargeError(
-            "generator panel count exceeds the node budget",
-            h=h, panels=need, cap=GENERATOR_PANEL_CAP,
-        )
-    return _pow2_at_least(need)
-
-
 def _potential_shift_integral(system, h):
     """Integral from 0 to theta of (potential term - its average) at action h.
 
     The generating function removing the angle dependence of the potential
-    term at first order; closes to 0 over a full circle.
+    term at first order; closes to 0 over a full circle.  The integrand
+    turns only near the 2n zeros of cos(n theta): the panels start as a
+    uniform grid of about eight per zero, whatever the action, and
+    CumulativeIntegral refines them there.
     """
     n = system.n
     amplitude = math.sqrt(2.0 * h / n)
-    panels = _generator_panels(4.0 * n * amplitude, h)
+    panels = _pow2_at_least(16 * n)
     mean = averaged_potential(system, h)
     pot = system.potential
     inv_n = 1.0 / n
@@ -190,12 +180,18 @@ def _forcing_shift_integral(system, h, t):
         return -x * fx.evaluate(p_spec, t + theta) * inv_n - mean
 
     m_max = max(len(p_spec.cos_coeffs), len(p_spec.sin_coeffs), 1)
-    panels = _generator_panels(8.0 * (n + m_max), h)
-    return CumulativeIntegral(integrand, panels)
+    panels = 8.0 * (n + m_max)
+    if not panels <= PANEL_CAP:
+        raise AmplitudeTooLargeError(
+            "generator panel count exceeds the node budget",
+            h=h, panels=panels, cap=PANEL_CAP,
+        )
+    return CumulativeIntegral(integrand, _pow2_at_least(panels))
 
 
 def normal_form_residuals(system, h, t=0.0, n_samples=16, step=1e-6) -> dict:
-    """Closure and derivative-cancellation residuals of both generators.
+    """Closure and derivative-cancellation residuals of both generators,
+    and the final panel count of each.
 
     Central differences at interior angles, against each generator's own
     integrand; the fixed panel grid makes the shared panels cancel
@@ -214,4 +210,5 @@ def normal_form_residuals(system, h, t=0.0, n_samples=16, step=1e-6) -> dict:
             worst = max(worst, abs(fd - s.f(theta)))
         out["closure_" + name] = abs(s(TWO_PI))
         out["cancellation_" + name] = float(worst)
+        out["panels_" + name] = s.n_panels
     return out

@@ -78,7 +78,8 @@ _TABLEAU = dict(
 # absolute/relative norm with both tolerances equal to tol; the step
 # controller is the standard proportional-integral rule with growth held
 # back right after a rejection.  Every RHS evaluation binds (ts, xs, ys).
-# A line "@hook arg ..." stands for the lines a _Frame's hook gives.
+# A line "@hook arg ..." stands for the lines a _Frame's hook gives, and
+# goes away when it gives none.
 # Returns (x, y, accepted, rejected, worst error).
 _KERNEL_TEMPLATE = """
 def kernel(t0, x0, y0, t1, tol):
@@ -106,6 +107,7 @@ def kernel(t0, x0, y0, t1, tol):
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h = direction * min(100.0 * h0, h1, span)
+    @start
 
     facold = 1.0e-4
     rejected_last = False
@@ -204,13 +206,15 @@ class _Frame(NamedTuple):
 
     rhs(kx, ky) gives the lines that set kx, ky to the derivative at
     (ts, xs, ys); scale(x, y, ...) the lines that set the error scales
-    scx, scy from the states named; ret() the lines that return the
-    lab-frame (x, y) at t1 and the counts.  The kernel runs at the
-    caller's tol times tol_scale, clamped at TOL_MIN.
+    scx, scy from the states named; start() the lines run once between
+    the initial step size h and the step loop; ret() the lines that
+    return the lab-frame (x, y) at t1 and the counts.  The kernel runs
+    at the caller's tol times tol_scale, clamped at TOL_MIN.
     """
 
     rhs: Callable
     scale: Callable
+    start: Callable
     ret: Callable
     tol_scale: float
 
@@ -234,6 +238,7 @@ def _lab_frame(system) -> _Frame:
     return _Frame(
         rhs=lambda kx, ky: [f"{kx} = {fx}", f"{ky} = {fy}"],
         scale=scale,
+        start=lambda: [],
         ret=lambda: ["return x, y, n_accept, n_reject, worst"],
         tol_scale=1.0,
     )
@@ -276,28 +281,41 @@ def _rotating_frame(system) -> _Frame:
         sizes = [f"hypot({x}, {y})" for x, y in zip(names[::2], names[1::2])]
         return [f"scx = scy = tol + tol * {_largest(sizes)}"]
 
+    # At tau = 0, where sin n tau = 0, a non-finite force gives a nan
+    # derivative and so a nan h; a nan step never underflows MIN_STEP and
+    # would spend the whole step budget.
+    def start():
+        return ["if not isfinite(h):",
+                "    raise ArithmeticFailureError(",
+                "        'non-finite initial step: the force is not finite', t=t0)"]
+
     return _Frame(
         rhs=rhs,
         scale=scale,
+        start=start,
         ret=lambda: turn("t1") + [
             "return x * cn + y * sn, y * cn - x * sn, n_accept, n_reject, worst"],
         tol_scale=_ROTATING_TOL_SCALE,
     )
 
 
-# a hook line of _KERNEL_TEMPLATE: indent, "@", hook name, its arguments
-_HOOK_LINE = re.compile(r"^( *)@(\w+)(.*)$", re.MULTILINE)
+# a hook line of _KERNEL_TEMPLATE: indent, "@", hook name, its arguments,
+# and the line's end
+_HOOK_LINE = re.compile(r"^( *)@(\w+)(.*)\n", re.MULTILINE)
 
 
 def _compile_kernel(frame: _Frame) -> Callable:
     """_KERNEL_TEMPLATE with the tableau as literals and each hook line
     replaced by the frame's lines, compiled."""
-    hooks = {"rhs": frame.rhs, "scale": frame.scale, "return": frame.ret}
+    hooks = {"rhs": frame.rhs, "scale": frame.scale, "start": frame.start,
+             "return": frame.ret}
     source = _HOOK_LINE.sub(
-        lambda m: "\n".join(m[1] + line for line in hooks[m[2]](*m[3].split())),
+        lambda m: "".join(f"{m[1]}{line}\n" for line in hooks[m[2]](*m[3].split())),
         _KERNEL_TEMPLATE.format(
             **{name: literal(v) for name, v in _TABLEAU.items()}))
     namespace = dict(SCALAR_NAMESPACE, sqrt=math.sqrt, hypot=math.hypot,
+                     isfinite=math.isfinite,
+                     ArithmeticFailureError=ArithmeticFailureError,
                      SolverFailureError=SolverFailureError,
                      StiffnessFailureError=StiffnessFailureError)
     exec(compile(source, "<dopri5 kernel>", "exec"), namespace)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AmplitudeTooLargeError, HTooSmallError, SpecValidationError
 from .fitting import DecayFit, envelope_fit, envelope_points, geometric_grid
-from .quadrature import _pow2_at_least, even_circle_mean, periodic_mean
+from .quadrature import _pow2_at_least, even_circle_mean
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,12 +40,13 @@ NODES_PER_AMPLITUDE = 2.0
 def circle_mean(a: float, parity: str, n: int = 1) -> float:
     """Mean of cos/sin(a cos(n theta)) over theta in [0, 2*pi).
 
-    Computed by periodic trapezoid with at least 2*(1+a) nodes, doubled
-    until successive levels agree to 1e-12 absolute.  The substitution
-    u = n*theta makes the mean independent of n, so the quadrature runs
-    on the n = 1 profile.  For parity "cos" the exact value is J0(a);
-    for "sin" it is exactly zero by odd symmetry over the period.
-    Work and memory grow linearly with a.
+    For parity "cos" the exact value is J0(a), computed by periodic
+    trapezoid with at least 2*(1+a) nodes, doubled until successive
+    levels agree to 1e-12 absolute.  The substitution u = n*theta makes
+    the mean independent of n, so the quadrature runs on the n = 1
+    profile.  Work and memory grow linearly with a.  For "sin" the mean
+    is exactly zero by odd symmetry over the period, and 0.0 is
+    returned without quadrature.
     """
     a = float(a)
     if a < 0.0:
@@ -59,18 +60,13 @@ def circle_mean(a: float, parity: str, n: int = 1) -> float:
             "phase amplitude exceeds the node budget",
             amplitude=a, cap=AMPLITUDE_CAP,
         )
+    if parity == "sin":
+        return 0.0
     floor = _pow2_at_least(NODES_PER_AMPLITUDE * (1.0 + a))
-    cap = max(4 * floor, 2 ** 22)
-    if parity == "cos":
-        value, _ = even_circle_mean(
-            lambda u: np.cos(a * np.cos(u)),
-            abs_tol=CIRCLE_ABS_TOL, n_start=floor, n_cap=cap,
-        )
-    else:
-        value, _ = periodic_mean(
-            lambda u: np.sin(a * np.cos(u)),
-            abs_tol=CIRCLE_ABS_TOL, n_start=floor, n_cap=cap,
-        )
+    value, _ = even_circle_mean(
+        lambda c: np.cos(a * c),
+        abs_tol=CIRCLE_ABS_TOL, n_start=floor, n_cap=max(4 * floor, 2 ** 22),
+    )
     return float(value)
 
 

@@ -43,6 +43,29 @@ def potential_circle_mean(G, amplitude: float, n: int) -> float:
     return float(val / (2 * mpmath.pi) / n)
 
 
+def potential_generator(G, amplitude: float, n: int, thetas) -> list:
+    """S(theta) = int_0^theta (G(amplitude cos n u)/n - mean) du at each theta.
+
+    The mean is potential_circle_mean's.  mpmath quadrature on the
+    pieces between 0, the zeros of cos n u and the sorted thetas, summed
+    in order: the integrand turns between its small-argument and tail
+    behaviour within about 1/(n amplitude) of each zero, and tanh-sinh
+    nodes cluster at the piece ends.
+    """
+    mean = potential_circle_mean(G, amplitude, n)
+    f = lambda u: G(amplitude * mpmath.cos(n * u)) / n
+    top = max(thetas)
+    zeros = [(mpmath.pi / 2 + k * mpmath.pi) / n for k in range(2 * n)]
+    pts = sorted({mpmath.mpf(0)} | {z for z in zeros if z < top}
+                 | {mpmath.mpf(t) for t in thetas})
+    total = mpmath.mpf(0)
+    at = {}
+    for lo, hi in zip(pts, pts[1:]):
+        total += mpmath.quad(f, [lo, hi])
+        at[hi] = total
+    return [float(at[mpmath.mpf(t)] - mpmath.mpf(t) * mean) for t in thetas]
+
+
 def forcing_circle_mean(p, h: float, t: float, n: int,
                         max_harmonic: int) -> float:
     """Spectral-grid average of the forcing term along the free flow.

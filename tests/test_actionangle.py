@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import _oracles as oracle
-from duffinglab import actionangle
+from duffinglab import actionangle, quadrature
 from duffinglab.actionangle import (
     _forcing_shift_integral,
     _potential_shift_integral,
@@ -136,6 +136,30 @@ def test_potential_generator_derivative_cancels_oscillation():
         assert dS == pytest.approx(want, rel=1e-5, abs=1e-6 * amp)
 
 
+@pytest.mark.parametrize("h", [1.0e5, 1.0e10])
+@pytest.mark.parametrize("name", ["ding", "critical-pair-below"])
+def test_potential_generator_against_mpmath(name, h):
+    s = scenario_system(name)
+    G = compile_scalar(s.potential)
+    thetas = [TWO_PI * (k + 0.37) / 16 for k in range(16)] + [TWO_PI]
+    want = oracle.potential_generator(
+        lambda v: float(G(float(v))), math.sqrt(2.0 * h / s.n), s.n, thetas)
+    S = _potential_shift_integral(s, h)
+    got = [S(theta) for theta in thetas]
+    top = max(abs(w) for w in want)
+    # S carries theta times averaged_potential, which is good to its
+    # ladder's 1e-11 relative gap; the line through S(2 pi) holds that
+    # term, so both sides less their line measure the panels alone
+    mean = abs(averaged_potential(s, h))
+    for theta, g, w in zip(thetas, got, want):
+        assert abs(g - w) <= 1e-12 * top + theta * actionangle.AVG_REL_TOL * mean
+        line = theta / TWO_PI
+        assert abs((g - line * got[-1]) - (w - line * want[-1])) <= 1e-12 * top
+    # refined only near the two zeros of cos(theta), where 2^20 uniform
+    # panels were once spent
+    assert S.n_panels <= 128
+
+
 def test_normal_form_residuals_small():
     s = make_system(1, Arctan(), p=TrigPoly(TWO_PI, (1.0,), ()))
     res = normal_form_residuals(s, 1.0e5)
@@ -152,11 +176,32 @@ def test_generator_panel_cap_refuses_before_allocating(monkeypatch):
         assert n_panels <= 2 ** 20, f"{n_panels} panels allocated"
         return real(f, n_panels)
 
+    levels = []  # panels per refinement level
+    real_level = quadrature._panel_level
+
+    def level(f, lows, width):
+        levels.append(lows.size)
+        return real_level(f, lows, width)
+
     monkeypatch.setattr(actionangle, "CumulativeIntegral", capped)
-    # 4 sqrt(2hn) panels for the potential, 8 (n + m) for the forcing,
-    # where m is the number of harmonics of p: 8 (1 + 131073) > 2^20
-    with pytest.raises(AmplitudeTooLargeError):
-        normal_form_residuals(make_system(1, Arctan()), 1.0e14)
+    monkeypatch.setattr(quadrature, "_panel_level", level)
+    # the potential generator refines only near the zeros of cos(n theta),
+    # so h = 1e14, which once asked for 4 sqrt(2hn) > 2^20 panels, closes
+    # within 1e-9 of 2 pi times the 4 sqrt(2h) scale of its integrand
+    h = 1.0e14
+    res = normal_form_residuals(make_system(1, Arctan()), h)
+    assert res["closure_potential"] <= 1e-9 * TWO_PI * 4.0 * math.sqrt(2.0 * h)
+    assert res["panels_potential"] <= 256
+    # 8 (n + m) panels for the forcing, where m is the number of harmonics
+    # of p: 8 (1 + 131073) > 2^20
     p = TrigPoly(TWO_PI, (1.0,) + (0.0,) * 131072)
     with pytest.raises(AmplitudeTooLargeError):
         normal_form_residuals(make_system(1, Arctan(), p=p), 1.0)
+    # with the cap at 100 panels, ding at h = 1e10 (about 110) is refused
+    # before a level that would hold more than the cap is evaluated
+    monkeypatch.setattr(quadrature, "PANEL_CAP", 100)
+    levels.clear()
+    with pytest.raises(AmplitudeTooLargeError, match="not resolved") as info:
+        normal_form_residuals(scenario_system("ding"), 1.0e10)
+    assert info.value.details["panels"] > info.value.details["cap"] == 100
+    assert 0 < max(levels) <= 100

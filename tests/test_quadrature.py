@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from duffinglab import quadrature
-from duffinglab.errors import PrecisionFailureError
+from duffinglab.errors import AmplitudeTooLargeError, PrecisionFailureError
 from duffinglab.quadrature import (
     CumulativeIntegral,
     even_circle_mean,
@@ -35,8 +35,7 @@ def test_periodic_mean_smooth_nontrivial():
 def test_even_circle_mean_matches_full_circle():
     # F(cos u) with F(v) = exp(-v^2): compare the folded evaluation
     # against a brute-force full-circle mean
-    f_even = lambda u: np.exp(-np.cos(u) ** 2)
-    folded, nodes = even_circle_mean(f_even, rel_tol=1e-12)
+    folded, nodes = even_circle_mean(lambda c: np.exp(-c ** 2), rel_tol=1e-12)
     us = np.arange(1 << 16) * (TWO_PI / (1 << 16))
     brute = float(np.mean(np.exp(-np.cos(us) ** 2)))
     assert folded == pytest.approx(brute, rel=1e-11)
@@ -47,7 +46,7 @@ def test_tolerance_argument_required():
     with pytest.raises(ValueError):
         periodic_mean(lambda u: np.cos(u))
     with pytest.raises(ValueError):
-        even_circle_mean(lambda u: np.cos(u))
+        even_circle_mean(lambda c: c)
 
 
 def test_node_cap_precision_failure():
@@ -112,3 +111,27 @@ def test_cumulative_integral_blocks_match_one_pass(monkeypatch):
     assert np.array_equal(one_pass.prefix, prefix)
     for theta in (0.37, 3.0 * width, 5.5, TWO_PI, TWO_PI + 0.25, -0.4):
         assert F(theta) == one_pass(theta)
+
+
+def test_cumulative_integral_refines_only_at_a_kink():
+    # |u - 1| turns at u = 1, inside a starting panel: only the panels
+    # around the kink are bisected, and the integral is exact to rounding
+    F = CumulativeIntegral(lambda u: np.abs(u - 1.0), 64)
+    assert 64 < F.n_panels < 256
+    assert np.all(np.diff(F.edges) > 0.0) and F.edges[-1] == TWO_PI
+    for theta in (0.5, 1.0, 1.7, TWO_PI):
+        want = 0.5 + 0.5 * math.copysign((theta - 1.0) ** 2, theta - 1.0)
+        assert F(theta) == pytest.approx(want, rel=1e-13)
+
+
+def test_cumulative_integral_refusals():
+    # a jump never converges: bisection stops at the width floor, long
+    # before the panel cap
+    with pytest.raises(AmplitudeTooLargeError) as info:
+        CumulativeIntegral(lambda u: np.where(u < 1.0, 0.0, 1.0), 64)
+    assert info.value.details["width"] < quadrature.MIN_PANEL_WIDTH
+    assert info.value.details["panels"] < 256
+    # a nan integrand is never converged: every panel splits until the cap
+    with pytest.raises(AmplitudeTooLargeError) as info:
+        CumulativeIntegral(lambda u: np.full(u.shape, np.nan), 64)
+    assert info.value.details["panels"] > quadrature.PANEL_CAP
