@@ -21,8 +21,6 @@ from .dynamics import (  # noqa: F401
     classify_orbit,
     integrate,
     orbit,
-    rotation_number,
-    strobe_map,
     sweep,
 )
 from .harness import (  # noqa: F401

@@ -16,11 +16,7 @@ import sys
 from dataclasses import replace
 
 from . import harness
-from .errors import (
-    NotApplicableError,
-    NumericFailureError,
-    SpecValidationError,
-)
+from .errors import NumericFailureError, SpecValidationError
 from .functions import system_from_config
 
 
@@ -190,9 +186,6 @@ def main(argv=None) -> int:
     except SpecValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotApplicableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

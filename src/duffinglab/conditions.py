@@ -195,35 +195,3 @@ def classify_theorem(system, d_fit=None) -> Predicted:
     if d > 1.0 + CLASSIFY_MARGIN:
         return Predicted.UNBOUNDED
     return Predicted.OUT_OF_THEORY
-
-
-# ---------------------------------------------------------------------------
-# synthetic calibration families with known tail exponent
-# ---------------------------------------------------------------------------
-
-def beta_calibration_family(d, n=1):
-    """System with zero limit gap whose beta has envelope exponent (1-d)/2.
-
-    Built from compensated tail pairs whose potential constants cancel, so
-    beta is the bare circle mean with no additive constant:
-
-    * d in (0,1) or (1,2): tails (1-d, (1+d)/2) and (2, 2) give
-      G = (1+x^2)^((1-d)/2) - (1+x^2)^(-1); the first mean carries the
-      h^((1-d)/2) law, the second decays like h^(-1/2) exactly.
-    * d = 2: tails (4, 2) and (-8, 3) give
-      G = -2(1+x^2)^(-1) + 2(1+x^2)^(-2), whose circle mean is exactly
-      -a^2 (1+a^2)^(-3/2) with a^2 = 2h/n: a clean h^(-1/2) envelope.
-      (A bare (1+x^2)^(-1/2) potential picks up a ln h factor instead and
-      has no clean exponent; this pair is the d=2 member of the scale.)
-    """
-    d = float(d)
-    if not (0.0 < d <= 2.0) or d == 1.0:
-        raise ValueError("calibration family defined for d in (0,1) or (1,2]")
-    if d == 2.0:
-        g = fx.Sum((fx.AlgebraicTail(4.0, 2.0), fx.AlgebraicTail(-8.0, 3.0)))
-    else:
-        g = fx.Sum((
-            fx.AlgebraicTail(1.0 - d, (1.0 + d) / 2.0),
-            fx.AlgebraicTail(2.0, 2.0),
-        ))
-    return fx.make_system(n, g)

@@ -1,4 +1,4 @@
-"""Long-horizon integration, strobe maps, rotation numbers, classification.
+"""Long-horizon integration, strobe orbits, classification.
 
 The equation is integrated in the symmetric first-order form x' = n y,
 y' = -n x - (g(x) + psi'(x) - p(t)) / n with an adaptive Dormand-Prince
@@ -7,9 +7,9 @@ RHS inlined, compiled on the system's first integration and kept on the
 system object.  When psi' = 0 the kernel integrates instead in the frame
 that turns with the free oscillator, where only the slow drift of g and
 p is left to the steps; it returns the lab-frame state all the same.
-Both kernels come from one template.  The strobe map advances time by
-exactly one forcing period 2*pi.  On top of the strobe iterates sit the
-unwrapped rotation angle, the twist-scaling diagnostic, and the
+Both kernels come from one template.  An orbit strobes the flow once per
+forcing period 2*pi and records the action and the unwrapped rotation
+angle at each strobe; on top of those iterates sits the
 bounded/escaping orbit classification.  The independent orbits of a
 sweep or an escape scan are spread over one forked child process per
 usable CPU.
@@ -31,7 +31,6 @@ from .errors import (
     DegenerateStateError,
     DuffingLabError,
     FitDegenerateError,
-    NotApplicableError,
     SolverFailureError,
     SpecValidationError,
     StiffnessFailureError,
@@ -40,7 +39,6 @@ from .fitting import DecayFit, loglog_fit
 from .functions import (
     SCALAR_NAMESPACE,
     literal,
-    make_system,
     scalar_source,
     times_source,
 )
@@ -377,11 +375,6 @@ def integrate(system, s0: PhaseState, t1: float, tol: float) -> PhaseState:
     return state
 
 
-def strobe_map(system, s: PhaseState, tol: float) -> PhaseState:
-    """One period of the forcing: the time-2*pi Poincare return map."""
-    return integrate(system, s, s.t + TWO_PI, tol)
-
-
 # ---------------------------------------------------------------------------
 # strobe orbits with angle lift
 # ---------------------------------------------------------------------------
@@ -476,93 +469,6 @@ def orbit(system, s0: PhaseState, N: int, tol: float) -> OrbitRecord:
         iterates=tuple(iterates),
         integrator_stats=stats,
         escaped=escaped,
-    )
-
-
-def rotation_number(rec: OrbitRecord) -> float:
-    """Mean lifted rotation per strobe, in turns: (lift_N - lift_0)/(2 pi N)."""
-    if rec.escaped:
-        raise NotApplicableError("rotation number undefined on an escaped record")
-    n_iter = len(rec.iterates) - 1
-    if n_iter < 50:
-        raise SpecValidationError(
-            f"rotation number needs at least 50 iterates, got {n_iter}"
-        )
-    first = rec.iterates[0]
-    last = rec.iterates[-1]
-    return (last.theta_lift - first.theta_lift) / (TWO_PI * n_iter)
-
-
-# ---------------------------------------------------------------------------
-# twist scaling
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TwistCheck:
-    """Rotation-number deviation from n across an action grid."""
-
-    fit: DecayFit
-    omegas: tuple
-    deviations: tuple
-    expected_sign: float
-    sign_consistent: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "slope": self.fit.slope,
-            "intercept": self.fit.intercept,
-            "expected_sign": self.expected_sign,
-            "sign_consistent": self.sign_consistent,
-            "omegas": list(self.omegas),
-            "deviations": list(self.deviations),
-        }
-
-
-def twist_scaling_check(system, I_grid=None, tol: float = 1.0e-10,
-                        n_strobes: int = 256) -> TwistCheck:
-    """How fast the autonomous rotation number approaches n as I grows.
-
-    Strips forcing and the spatially-periodic term, measures
-    omega(I) - n on a geometric action grid spanning at least three
-    decades, and fits the decay (expected slope -1/2, expected sign the
-    sign of the restoring gap g(+inf) - g(-inf)).
-    """
-    if system.gap == 0.0:
-        raise FitDegenerateError(
-            "restoring gap vanishes, no twist to measure"
-        )
-    if I_grid is None:
-        I_grid = np.geomspace(1.0e4, 1.0e8, 9)
-    grid = np.asarray(I_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 4:
-        raise SpecValidationError("I_grid needs at least 4 points")
-    if np.any(np.diff(grid) <= 0.0) or grid[0] <= 0.0:
-        raise SpecValidationError("I_grid must be positive and increasing")
-    if grid[-1] < 1.0e3 * grid[0] * (1.0 - 1.0e-12):
-        raise SpecValidationError(
-            "I_grid must span at least three decades",
-            span=float(grid[-1] / grid[0]),
-        )
-    autonomous = make_system(system.n, system.g)
-    omegas = []
-    deviations = []
-    for I in grid:
-        x0 = math.sqrt(2.0 * I / system.n)
-        rec = orbit(autonomous, PhaseState(x=x0, y=0.0, t=0.0), n_strobes, tol)
-        w = rotation_number(rec)
-        omegas.append(w)
-        deviations.append(w - system.n)
-    expected = math.copysign(1.0, system.gap)
-    consistent = all(
-        d != 0.0 and math.copysign(1.0, d) == expected for d in deviations
-    )
-    fit = loglog_fit(grid, np.abs(deviations))
-    return TwistCheck(
-        fit=fit,
-        omegas=tuple(omegas),
-        deviations=tuple(deviations),
-        expected_sign=expected,
-        sign_consistent=consistent,
     )
 
 

@@ -62,7 +62,3 @@ class HTooSmallError(NumericFailureError):
 
 class FitDegenerateError(NumericFailureError):
     """Not enough usable data to fit a decay law."""
-
-
-class NotApplicableError(DuffingLabError):
-    """A diagnostic was requested for a record it is not defined on."""

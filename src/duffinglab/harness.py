@@ -31,7 +31,7 @@ from .actionangle import (
     normal_form_residuals,
 )
 from .errors import FitDegenerateError, NumericFailureError, SpecValidationError
-from .fitting import geometric_grid
+from .fitting import envelope_fit, geometric_grid
 from .functions import (
     DuffingSystem,
     _is_finite_number,
@@ -387,7 +387,7 @@ def _run_oscillatory(cfg: ExperimentConfig):
             "at every energy, so there is no decay envelope to fit")
     grid = geometric_grid(*cfg.numeric.grids["h_window"])
     rows = [(h, osc.psi_average(cfg.system, h)) for h in grid]
-    fit = osc.decay_fit_envelope(rows, 4.0)
+    fit = envelope_fit(grid, [abs(v) for _, v in rows], 4.0)
     return [
         ("psi_scan.csv", ("h", "psi_avg"), rows),
         ("oscillatory.json", {

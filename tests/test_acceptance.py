@@ -16,15 +16,16 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
+from _selfchecks import calibration_system, endpoint_law, twist_fit
 from duffinglab.actionangle import (
     PhaseState,
     averaged_forcing,
     averaged_potential,
     averaged_potential_slope_check,
 )
-from duffinglab.conditions import beta_calibration_family, critical_d_estimate
-from duffinglab.dynamics import integrate, strobe_map, twist_scaling_check
-from duffinglab.fitting import geometric_grid
+from duffinglab.conditions import critical_d_estimate
+from duffinglab.dynamics import integrate
+from duffinglab.fitting import envelope_fit, geometric_grid
 from duffinglab.functions import (
     Arctan,
     Constant,
@@ -33,12 +34,7 @@ from duffinglab.functions import (
     evaluate,
     make_system,
 )
-from duffinglab.oscillatory import (
-    circle_mean,
-    decay_fit_envelope,
-    endpoint_expansion_check,
-    psi_average,
-)
+from duffinglab.oscillatory import circle_mean, psi_average
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,7 +95,7 @@ def test_potential_derivative_scaling_over_six_decades():
 def test_tail_exponent_recovery():
     t_start = time.monotonic()
     for d in (0.25, 1.0 / 3.0, 0.5, 0.75, 1.5, 2.0):
-        system = beta_calibration_family(d)
+        system = calibration_system(d)
         est = critical_d_estimate(system, h_min=1.0e4, h_max=1.0e9, points=12)
         assert est.fit.slope == pytest.approx((1.0 - d) / 2.0, abs=0.03), d
     assert time.monotonic() - t_start < 60.0
@@ -110,19 +106,18 @@ def test_oscillatory_decay_laws():
     # single cos harmonic: the averaged periodic term inherits the
     # quarter-power envelope in energy
     system = make_system(1, Arctan(), psi=TrigPoly(TWO_PI, (1.0,), ()))
-    rows = [(h, psi_average(system, h))
-            for h in geometric_grid(1.0e4, 1.0e8, 65)]
-    fit = decay_fit_envelope(rows, 4.0)
+    grid = geometric_grid(1.0e4, 1.0e8, 65)
+    fit = envelope_fit(grid, [psi_average(system, h) for h in grid], 4.0)
     assert fit.slope == pytest.approx(-0.25, abs=0.03)
 
     # the half-period model integral loses half a power per decade of
     # phase amplitude (both endpoints stationary)
-    report = endpoint_expansion_check()
-    assert report.fit.slope == pytest.approx(-0.5, abs=0.05)
+    fit, _ = endpoint_law(geometric_grid(1.0e2, 1.0e6, 257))
+    assert fit.slope == pytest.approx(-0.5, abs=0.05)
 
     # odd-parity means cancel to quadrature accuracy
     for a in (0.5, 3.0, 25.0, 400.0, 1.0e3):
-        assert abs(circle_mean(a, "sin", 1)) <= 1e-12
+        assert abs(circle_mean(a, "sin")) <= 1e-12
     assert time.monotonic() - t_start < 60.0
 
 
@@ -145,7 +140,7 @@ def test_integrator_energy_identity_and_resonance():
     # free oscillator strobe is the identity
     linear = make_system(1, Constant(0.0))
     s0 = PhaseState(x=math.sqrt(200.0), y=0.0, t=0.0)
-    back = strobe_map(linear, s0, 1.0e-12)
+    back = integrate(linear, s0, s0.t + TWO_PI, 1.0e-12)
     assert math.hypot(back.x - s0.x, back.y - s0.y) <= 1e-9
 
     # exact resonance: secular growth matches the closed form after 50
@@ -188,10 +183,13 @@ def test_forced_regime_reproduction(scenario_results):
 
 def test_twist_deviation_scaling():
     t_start = time.monotonic()
-    check = twist_scaling_check(make_system(1, Arctan()))
-    assert check.fit.slope == pytest.approx(-0.5, abs=0.1)
-    assert check.expected_sign == 1.0  # arctan gap is +pi
-    assert check.sign_consistent
+    system = make_system(1, Arctan())
+    fit, deviations = twist_fit(system, np.geomspace(1.0e4, 1.0e8, 9), 256)
+    assert fit.slope == pytest.approx(-0.5, abs=0.1)
+    expected_sign = math.copysign(1.0, system.gap)
+    assert expected_sign == 1.0  # arctan gap is +pi
+    assert all(d != 0.0 and math.copysign(1.0, d) == expected_sign
+               for d in deviations)
     assert time.monotonic() - t_start < 300.0
 
 

@@ -167,6 +167,16 @@ def test_normal_form_residuals_small():
     assert res["closure_forcing"] < 1e-10
     assert res["cancellation_potential"] < 1e-5
     assert res["cancellation_forcing"] < 1e-5
+    # the potential generator closes up to 2 pi times the error of the
+    # averaged potential it subtracts, which its ladder holds to
+    # AVG_REL_TOL relative; for linear both sides are 0
+    for name in ("ding", "ll-bounded", "critical-pair-below",
+                 "critical-pair-above", "linear"):
+        system = scenario_system(name)
+        for h in (1.0e3, 1.0e6, 1.0e10):
+            closure = normal_form_residuals(system, h)["closure_potential"]
+            bound = TWO_PI * actionangle.AVG_REL_TOL * abs(averaged_potential(system, h))
+            assert closure <= bound, (name, h, closure, bound)
 
 
 def test_generator_panel_cap_refuses_before_allocating(monkeypatch):

@@ -4,9 +4,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from _selfchecks import calibration_system
 from duffinglab import conditions as cond
 from duffinglab.conditions import Predicted, Regime
-from duffinglab.errors import FitDegenerateError
+from duffinglab.errors import FitDegenerateError, UnsupportedExponentError
 from duffinglab.functions import Arctan, Constant, TrigPoly, make_system
 from duffinglab.harness import scenario_system
 
@@ -72,7 +73,7 @@ def test_report_serializes():
 
 def test_beta_profile_shape_and_guards():
     # the h^((1-d)/2) law grows for d < 1 and decays for d > 1
-    s = cond.beta_calibration_family(0.5)
+    s = calibration_system(0.5)
     profile = cond.beta_profile(s, [1.0e4, 1.0e5, 1.0e6])
     hs = [h for h, _ in profile]
     vs = [b for _, b in profile]
@@ -80,7 +81,7 @@ def test_beta_profile_shape_and_guards():
     assert all(v > 0.0 for v in vs)
     assert vs[2] / vs[0] == pytest.approx(100.0 ** 0.25, rel=0.2)
 
-    s_dec = cond.beta_calibration_family(1.5)
+    s_dec = calibration_system(1.5)
     dec = [b for _, b in cond.beta_profile(s_dec, [1.0e4, 1.0e6])]
     assert abs(dec[1]) < abs(dec[0])
 
@@ -91,14 +92,14 @@ def test_beta_profile_shape_and_guards():
 
 
 def test_d_estimate_recovers_known_exponent():
-    s = cond.beta_calibration_family(0.5)
+    s = calibration_system(0.5)
     est = cond.critical_d_estimate(s, h_min=1.0e4, h_max=1.0e8, points=9)
     assert est.fit.slope == pytest.approx(0.25, abs=0.03)
     assert est.implied_d == pytest.approx(0.5, abs=0.06)
 
 
 def test_d_estimate_window_guards():
-    s = cond.beta_calibration_family(0.5)
+    s = calibration_system(0.5)
     with pytest.raises(ValueError):
         cond.critical_d_estimate(s, points=5)
     with pytest.raises(ValueError):
@@ -116,12 +117,11 @@ def test_classify_theorem_branches():
 
 
 def test_calibration_family_guards():
-    with pytest.raises(ValueError):
-        cond.beta_calibration_family(1.0)
-    with pytest.raises(ValueError):
-        cond.beta_calibration_family(2.5)
+    # d = 1 would need the unit tail exponent, which has no closed potential
+    with pytest.raises(UnsupportedExponentError):
+        calibration_system(1.0)
     # every member has zero limit gap by construction
     for d in (0.25, 0.75, 1.5, 2.0):
-        s = cond.beta_calibration_family(d)
+        s = calibration_system(d)
         report = cond.lazer_leach_report(s)
         assert report.rhs_B == 0.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _selfchecks import rotation_number, twist_fit
 from duffinglab import dynamics
 from duffinglab.actionangle import PhaseState
 from duffinglab.dynamics import (
@@ -13,17 +14,9 @@ from duffinglab.dynamics import (
     critical_escape_scan,
     integrate,
     orbit,
-    rotation_number,
-    strobe_map,
     sweep,
-    twist_scaling_check,
 )
-from duffinglab.errors import (
-    DegenerateStateError,
-    FitDegenerateError,
-    NotApplicableError,
-    SpecValidationError,
-)
+from duffinglab.errors import DegenerateStateError, SpecValidationError
 from duffinglab.functions import Arctan, Constant, TrigPoly, make_system
 from duffinglab.harness import scenario_system
 
@@ -54,7 +47,7 @@ def test_tol_range_enforced():
 def test_linear_strobe_is_identity():
     for x0, y0 in ((3.0, 4.0), (50.0, -20.0)):
         s0 = PhaseState(x=x0, y=y0, t=0.0)
-        back = strobe_map(LINEAR, s0, 1.0e-12)
+        back = integrate(LINEAR, s0, s0.t + TWO_PI, 1.0e-12)
         assert _dist(back, s0) <= 1e-9
         assert back.t == pytest.approx(TWO_PI, rel=1e-15)
 
@@ -85,7 +78,7 @@ def test_reversibility_round_trip():
         system = scenario_system(name)
         x0 = math.sqrt(2.0 * I0 / system.n)
         s0 = PhaseState(x=x0, y=0.0, t=0.0)
-        forward = strobe_map(system, s0, tol)
+        forward = integrate(system, s0, s0.t + TWO_PI, tol)
         back = integrate(system, forward, 0.0, tol)
         scale = 1.0 + math.hypot(s0.x, s0.y)
         assert _dist(back, s0) / scale <= 10.0 * tol, (name, I0)
@@ -107,9 +100,9 @@ def test_error_scales_with_tol():
     # reduction is ~180x (autonomous) and ~350x (forced)
     for system in (AUTO_ARCTAN, DING):
         s0 = PhaseState(x=math.sqrt(50.0), y=0.0, t=0.0)
-        ref = strobe_map(system, s0, 1.0e-13)
-        coarse = _dist(strobe_map(system, s0, 1.0e-6), ref)
-        fine = _dist(strobe_map(system, s0, 1.0e-8), ref)
+        ref = integrate(system, s0, s0.t + TWO_PI, 1.0e-13)
+        coarse = _dist(integrate(system, s0, s0.t + TWO_PI, 1.0e-6), ref)
+        fine = _dist(integrate(system, s0, s0.t + TWO_PI, 1.0e-8), ref)
         assert coarse >= 4.0 * fine
 
 
@@ -198,15 +191,6 @@ def _synthetic_record(actions, escaped=False, t0=0.0):
         integrator_stats=IntegratorStats(0, 0, 0.0),
         escaped=escaped,
     )
-
-
-def test_rotation_number_guards():
-    rec = _synthetic_record([25.0] * 101, escaped=True)
-    with pytest.raises(NotApplicableError):
-        rotation_number(rec)
-    short = _synthetic_record([25.0] * 11)
-    with pytest.raises(SpecValidationError):
-        rotation_number(short)
 
 
 # ---------------------------------------------------------------------------
@@ -302,25 +286,11 @@ def test_sweep_deterministic_and_error_isolating():
 # ---------------------------------------------------------------------------
 
 def test_twist_scaling_small_grid():
-    check = twist_scaling_check(
-        AUTO_ARCTAN, I_grid=np.geomspace(1.0e4, 1.0e7, 4),
-        tol=1.0e-10, n_strobes=64)
-    assert check.fit.slope == pytest.approx(-0.5, abs=0.1)
-    assert check.expected_sign == 1.0
-    assert check.sign_consistent
-    d = check.to_json_dict()
-    assert len(d["omegas"]) == 4 and d["sign_consistent"] is True
-
-
-def test_twist_scaling_guards():
-    with pytest.raises(FitDegenerateError):
-        twist_scaling_check(make_system(1, Constant(1.0)))
-    for bad in ([1.0e4, 1.0e5, 1.0e6],
-                list(reversed(np.geomspace(1.0e4, 1.0e8, 5))),
-                [1.0e4, 2.0e4, 4.0e4, 8.0e4],
-                [-1.0, 1.0e4, 1.0e6, 1.0e8]):
-        with pytest.raises(SpecValidationError):
-            twist_scaling_check(AUTO_ARCTAN, I_grid=bad)
+    fit, deviations = twist_fit(AUTO_ARCTAN, np.geomspace(1.0e4, 1.0e7, 4), 64)
+    assert fit.slope == pytest.approx(-0.5, abs=0.1)
+    # the arctan gap is +pi, so omega approaches n from above
+    assert AUTO_ARCTAN.gap > 0.0
+    assert len(deviations) == 4 and all(d > 0.0 for d in deviations)
 
 
 # ---------------------------------------------------------------------------

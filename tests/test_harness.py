@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from _selfchecks import calibration_system
 from duffinglab import cli
 from duffinglab import conditions as cond
 from duffinglab import oscillatory as osc
@@ -240,7 +241,7 @@ def test_conditions_computes_the_beta_profile_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cond, "beta_profile", counted)
     run(parse_config({
-        "system": system_to_config(cond.beta_calibration_family(0.5)),
+        "system": system_to_config(calibration_system(0.5)),
         "experiment": "conditions",
         "numeric": {"grids": {"beta_window": [1.0e4, 1.0e8, 9]}},
         "output": {"dir": str(tmp_path)},

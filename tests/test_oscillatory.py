@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import _oracles as oracle
+from _selfchecks import endpoint_law
 from duffinglab import oscillatory
 from duffinglab.errors import (
     AmplitudeTooLargeError,
@@ -11,14 +13,9 @@ from duffinglab.errors import (
     InadmissibleFunctionError,
     SpecValidationError,
 )
-from duffinglab.fitting import geometric_grid
+from duffinglab.fitting import envelope_fit, geometric_grid
 from duffinglab.functions import Arctan, TrigPoly, make_system
-from duffinglab.oscillatory import (
-    circle_mean,
-    decay_fit_envelope,
-    endpoint_expansion_check,
-    psi_average,
-)
+from duffinglab.oscillatory import circle_mean, psi_average
 from duffinglab.quadrature import _pow2_at_least, even_circle_mean
 
 TWO_PI = 2.0 * math.pi
@@ -35,7 +32,7 @@ def test_circle_mean_cos_is_j0():
     # an edge, and 1e6 is the top of the endpoint scan
     for a in (0.0, 1.0, 5.0, 10.0, 31.0, 31.5, 63.0, 137.5, 1.0e3, 1023.5,
               1.0e5, 2.8e5, 1.0e6):
-        assert circle_mean(a, "cos", 1) == pytest.approx(
+        assert circle_mean(a, "cos") == pytest.approx(
             oracle.j0(a), abs=1e-12)
 
 
@@ -52,32 +49,23 @@ def test_circle_mean_starts_at_two_nodes_per_amplitude(monkeypatch):
     monkeypatch.setattr(oscillatory, "even_circle_mean", recording)
     for a in (0.0, 3.0, 31.0, 31.5, 100.0, 1023.5, 4.0e3, 6.5e4, 1.0e6):
         seen.clear()
-        circle_mean(a, "cos", 1)
+        circle_mean(a, "cos")
         n_start = _pow2_at_least(2.0 * (1.0 + a))
         assert seen == [(n_start, 2 * n_start)], a
 
 
-def test_circle_mean_independent_of_n():
-    assert circle_mean(7.3, "cos", 2) == pytest.approx(
-        circle_mean(7.3, "cos", 1), abs=1e-15)
-
-
 @given(st.floats(min_value=0.0, max_value=300.0))
 def test_circle_mean_sin_parity_cancels(a):
-    assert abs(circle_mean(a, "sin", 1)) <= 1e-12
+    assert abs(circle_mean(a, "sin")) <= 1e-12
 
 
 def test_circle_mean_validation():
     with pytest.raises(SpecValidationError):
-        circle_mean(-1.0, "cos", 1)
+        circle_mean(-1.0, "cos")
     with pytest.raises(SpecValidationError):
-        circle_mean(1.0, "tan", 1)
-    with pytest.raises(SpecValidationError):
-        circle_mean(1.0, "cos", 0)
-    with pytest.raises(SpecValidationError):
-        circle_mean(1.0, "cos", True)
+        circle_mean(1.0, "tan")
     with pytest.raises(AmplitudeTooLargeError):
-        circle_mean(2.0e7, "cos", 1)
+        circle_mean(2.0e7, "cos")
 
 
 # ---------------------------------------------------------------------------
@@ -128,21 +116,8 @@ def test_psi_average_h_floor():
 
 def test_decay_fit_envelope_on_j0_profile():
     xs = geometric_grid(10.0, 1.0e4, 200)
-    fit = decay_fit_envelope([(a, oracle.j0(a)) for a in xs], 4.0)
+    fit = envelope_fit(xs, [oracle.j0(a) for a in xs], 4.0)
     assert fit.slope == pytest.approx(-0.5, abs=0.05)
-
-
-def test_decay_fit_envelope_guards():
-    good = [(10.0 ** (1 + 3 * k / 9), 1.0) for k in range(10)]
-    with pytest.raises(SpecValidationError):
-        decay_fit_envelope(good[:5], 4.0)
-    with pytest.raises(SpecValidationError):
-        decay_fit_envelope(good, 1.5)
-    narrow = [(10.0 + k, 1.0) for k in range(10)]
-    with pytest.raises(SpecValidationError):
-        decay_fit_envelope(narrow, 4.0)
-    with pytest.raises(SpecValidationError):
-        decay_fit_envelope([(0.0, 1.0)] + good, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +125,8 @@ def test_decay_fit_envelope_guards():
 # ---------------------------------------------------------------------------
 
 def test_endpoint_expansion_check_small_grid():
-    rep = endpoint_expansion_check(geometric_grid(1.0e2, 1.0e5, 65))
-    assert rep.fit.slope == pytest.approx(-0.5, abs=0.05)
-    assert rep.prefactor_mean == pytest.approx(rep.predicted_prefactor, rel=0.05)
-    assert rep.prefactor_cv < 0.05
-    d = rep.to_json_dict()
-    assert d["n_points"] == 65
-    assert d["predicted_prefactor"] == pytest.approx(math.sqrt(TWO_PI), rel=1e-15)
-
-
-def test_endpoint_expansion_check_grid_guards():
-    with pytest.raises(SpecValidationError):
-        endpoint_expansion_check([100.0, 200.0, 400.0])
-    with pytest.raises(SpecValidationError):
-        endpoint_expansion_check(geometric_grid(10.0, 1.0e5, 16))
-    with pytest.raises(SpecValidationError):
-        endpoint_expansion_check([100.0 + k for k in range(16)])
-    decreasing = list(reversed(geometric_grid(1.0e2, 1.0e5, 16)))
-    with pytest.raises(SpecValidationError):
-        endpoint_expansion_check(decreasing)
+    fit, prefactors = endpoint_law(geometric_grid(1.0e2, 1.0e5, 65))
+    assert fit.slope == pytest.approx(-0.5, abs=0.05)
+    # the two stationary endpoints predict max |V| sqrt(a) -> sqrt(2 pi)
+    assert np.mean(prefactors) == pytest.approx(math.sqrt(TWO_PI), rel=0.05)
+    assert np.std(prefactors) / np.mean(prefactors) < 0.05
